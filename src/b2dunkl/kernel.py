@@ -20,13 +20,12 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
-from .group import (GroupElem, act, ell, elem_name, inv, mul, parse_elem,
+from .group import (GroupElem, act, elem_name, inv, mul, parse_elem,
                     reflection, rotation, transform_pair, IDENTITY)
-from .operators import (Commutator, Compose, Dunkl, Expr, GroupOp, Mul, Sum,
-                        named)
+from .operators import (Commutator, Compose, Expr, GroupOp, Mul, Sum,
+                        evaluate, named, reflection_quotients)
 from .params import Params
 from .poly import MPoly
-from .scalars import QI
 
 _HALF = Fraction(1, 2)
 _U = MPoly.var("u")
@@ -83,7 +82,7 @@ class KernelState:
     def __sub__(self, other: "KernelState") -> "KernelState":
         return self + (-other)
 
-    def scaled(self, q: MPoly) -> "KernelState":
+    def __mul__(self, q: MPoly) -> "KernelState":
         return KernelState({g: q * p for g, p in self.parts.items()})
 
     def to_json_dict(self) -> dict:
@@ -111,7 +110,7 @@ def _dual_pair(w: GroupElem) -> Tuple[MPoly, MPoly]:
     return transform_pair(inv(w), (_U, _UB))
 
 
-def _first_order(state: KernelState, conjugate: bool,
+def _first_order(var: str, state: KernelState,
                  params: Params) -> KernelState:
     out: Dict[GroupElem, MPoly] = {}
 
@@ -119,48 +118,24 @@ def _first_order(state: KernelState, conjugate: bool,
         prev = out.get(g)
         out[g] = q + prev if prev is not None else q
 
-    dvar = "zb" if conjugate else "z"
     for w, p in state.parts.items():
         uw, ubw = _dual_pair(w)
-        factor = uw if conjugate else ubw
-        bump(w, p.diff(dvar) + _HALF * (factor * p))
-        for j in range(4):
-            diff = p - act(reflection(j), p)
-            if diff.is_zero():
-                continue
-            quot = params.kappa(j) * diff.divide_linear(ell(j))
-            if conjugate:
-                quot = -QI.i_power(j) * quot
+        factor = uw if var == "zb" else ubw
+        bump(w, p.diff(var) + _HALF * (factor * p))
+        for j, quot in reflection_quotients(var, p, params):
             bump(mul(reflection(j), w), quot)
     return KernelState(out)
+
+
+def _relabel(g: GroupElem, state: KernelState) -> KernelState:
+    return KernelState({mul(g, w): act(g, p) for w, p in state.parts.items()})
 
 
 def k_apply(expr: Expr, state: KernelState,
             params: Optional[Params] = None) -> KernelState:
     """Apply an operator tree to a state; params default to fully symbolic."""
-    if params is None:
-        params = Params.symbolic()
-    if isinstance(expr, Dunkl):
-        return _first_order(state, expr.var == "zb", params)
-    if isinstance(expr, Mul):
-        return state.scaled(params.instantiate(expr.poly))
-    if isinstance(expr, GroupOp):
-        g = expr.elem
-        return KernelState({mul(g, w): act(g, p)
-                            for w, p in state.parts.items()})
-    if isinstance(expr, Sum):
-        acc = KernelState()
-        for part in expr.parts:
-            acc = acc + k_apply(part, state, params)
-        return acc
-    if isinstance(expr, Compose):
-        for part in reversed(expr.parts):
-            state = k_apply(part, state, params)
-        return state
-    if isinstance(expr, Commutator):
-        return (k_apply(expr.a, k_apply(expr.b, state, params), params)
-                - k_apply(expr.b, k_apply(expr.a, state, params), params))
-    raise TypeError(f"not an operator expression: {expr!r}")
+    return evaluate(expr, state, Params.symbolic() if params is None
+                    else params, k_apply, _first_order, _relabel)
 
 
 # ---- identity catalogue --------------------------------------------------

@@ -66,43 +66,51 @@ class Commutator(Expr):
     b: Expr
 
 
-def apply_dunkl(var: str, p: MPoly, params: Params) -> MPoly:
-    """First-order Dunkl operator in the z or zb direction."""
-    conjugate = (var == "zb")
-    res = p.diff(var)
+def reflection_quotients(var: str, p: MPoly, params: Params):
+    """Yield (j, kappa_j (p - s_j p) / ell_j) for each mirror line j on which
+    the difference is nonzero, times -i^j in the zb direction."""
     for j in range(4):
         diff = p - act(reflection(j), p)
         if diff.is_zero():
             continue
-        quot = diff.divide_linear(ell(j))
-        kap = params.kappa(j)
-        if conjugate:
-            res = res - QI.i_power(j) * (kap * quot)
-        else:
-            res = res + kap * quot
-    return res
+        quot = params.kappa(j) * diff.divide_linear(ell(j))
+        yield j, (-QI.i_power(j) * quot if var == "zb" else quot)
+
+
+def apply_dunkl(var: str, p: MPoly, params: Params) -> MPoly:
+    """First-order Dunkl operator in the z or zb direction."""
+    return sum((q for _, q in reflection_quotients(var, p, params)),
+               p.diff(var))
+
+
+def evaluate(expr: Expr, x, params: Params, recurse, dunkl, group_act):
+    """Evaluate an operator tree on a carrier x.
+
+    The carrier needs +, - and multiplication by a polynomial; `dunkl(var,
+    x, params)` and `group_act(elem, x)` act at the leaves, and subtrees are
+    evaluated through `recurse(expr, x, params)`.
+    """
+    if isinstance(expr, Dunkl):
+        return dunkl(expr.var, x, params)
+    if isinstance(expr, Mul):
+        return x * params.instantiate(expr.poly)
+    if isinstance(expr, GroupOp):
+        return group_act(expr.elem, x)
+    if isinstance(expr, Sum):
+        return sum((recurse(part, x, params) for part in expr.parts),
+                   x * MPoly.zero())
+    if isinstance(expr, Compose):
+        for part in reversed(expr.parts):
+            x = recurse(part, x, params)
+        return x
+    if isinstance(expr, Commutator):
+        return (recurse(expr.a, recurse(expr.b, x, params), params)
+                - recurse(expr.b, recurse(expr.a, x, params), params))
+    raise TypeError(f"not an operator expression: {expr!r}")
 
 
 def apply(expr: Expr, p: MPoly, params: Params) -> MPoly:
-    if isinstance(expr, Dunkl):
-        return apply_dunkl(expr.var, p, params)
-    if isinstance(expr, Mul):
-        return params.instantiate(expr.poly) * p
-    if isinstance(expr, GroupOp):
-        return act(expr.elem, p)
-    if isinstance(expr, Sum):
-        acc = MPoly.zero()
-        for part in expr.parts:
-            acc = acc + apply(part, p, params)
-        return acc
-    if isinstance(expr, Compose):
-        for part in reversed(expr.parts):
-            p = apply(part, p, params)
-        return p
-    if isinstance(expr, Commutator):
-        return (apply(expr.a, apply(expr.b, p, params), params)
-                - apply(expr.b, apply(expr.a, p, params), params))
-    raise TypeError(f"not an operator expression: {expr!r}")
+    return evaluate(expr, p, params, apply, apply_dunkl, act)
 
 
 # ---- named operators ---------------------------------------------------

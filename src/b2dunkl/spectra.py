@@ -30,6 +30,7 @@ __all__ = [
     "j2_table", "norm_table", "predicted_h0", "predicted_k",
     "h0_shifted_expansion", "khat_expansion", "label_str", "parse_label",
     "adjudicate_mirror_diagonals", "MIRROR_DIAG_VARIANTS",
+    "E1_DIAG_VARIANT", "E2_DIAG_VARIANT",
 ]
 
 
@@ -280,8 +281,8 @@ MIRROR_DIAG_VARIANTS: Tuple[Tuple[int, int, int], ...] = (
     (1, -1, 2), (-1, -1, 2), (1, 1, 2), (-1, 1, 2),
     (1, -1, 1), (-1, -1, 1), (1, 1, 1), (-1, 1, 1),
 )
-_E1_DIAG_VARIANT = (1, -1, 2)
-_E2_DIAG_VARIANT = (-1, -1, 2)
+E1_DIAG_VARIANT = (1, -1, 2)
+E2_DIAG_VARIANT = (-1, -1, 2)
 
 
 def _mirror_diag(n: int, j: int, params: Params, reversed_family: bool,
@@ -325,7 +326,7 @@ def predicted_k(label: BasisLabel,
             out[BasisLabel(4 * n + 4 + j, j - 2)] = \
                 16 * w ** 4 * (n + 1) * (n + K + 1) \
                 / ((2 * n + K + 2) * (2 * n + K + 1))
-        out[label] = _mirror_diag(n, j, params, False, _E1_DIAG_VARIANT)
+        out[label] = _mirror_diag(n, j, params, False, E1_DIAG_VARIANT)
         if n >= 1:
             out[BasisLabel(4 * n + j, j + 2)] = \
                 4 * (j + 1) * (j + 2) * (2 * n + 2 * k0 - 1) \
@@ -351,7 +352,7 @@ def predicted_k(label: BasisLabel,
             out[BasisLabel(j - 2, 4 * n + 4 + j)] = \
                 16 * w ** 4 * (n + 1) * (n + K + 1) \
                 / ((2 * n + K + 2) * (2 * n + K + 1))
-        out[label] = _mirror_diag(n, j, params, True, _E2_DIAG_VARIANT)
+        out[label] = _mirror_diag(n, j, params, True, E2_DIAG_VARIANT)
         if n >= 1:
             out[BasisLabel(j + 2, 4 * n + j)] = \
                 4 * (j + 1) * (j + 2) * (2 * n + 2 * k0 + 1) \

@@ -10,20 +10,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Dict, Iterable, List, Sequence
 
 from .basis import (BasisLabel, enumerate_basis, energy, group_action,
                     j2_eigenvalue, norm_ratio, psi, rho1_eigenvalue)
 from .group import ALL_ELEMENTS, act, elem_name, rotation
-from .kernel import IDENTITIES, IDENTITY_NAMES, prove_named
+from .kernel import IDENTITIES, IDENTITY_NAMES, ProofResult, prove_named
 from .operators import apply_named
 from .params import DEFAULT_PARAMS, EXTRA_PARAM_SETS, Params
 from .poly import MPoly
 from .scalars import QI, format_rat
-from .spectra import (adjudicate_mirror_diagonals, expand,
+from .spectra import (E1_DIAG_VARIANT, E2_DIAG_VARIANT,
+                      adjudicate_mirror_diagonals, expand,
                       h0_shifted_expansion, j2_expansion, khat_expansion,
-                      label_str, predicted_h0, predicted_k,
-                      _E1_DIAG_VARIANT, _E2_DIAG_VARIANT)
+                      label_str, predicted_h0, predicted_k)
 from .weighted import verify_weighted_conjugation
 
 
@@ -223,17 +224,13 @@ def _suite_k(params: Params, max_degree: int) -> List[Case]:
                       f"quartic action on z has eigenvalue "
                       f"{format_rat(lam)}"))
 
-    triples = [params]
-    for extra in EXTRA_PARAM_SETS:
-        if extra not in triples:
-            triples.append(extra)
-    if DEFAULT_PARAMS not in triples:
-        triples.append(DEFAULT_PARAMS)
-    triples = triples[:3]
-    adj_deg = min(max_degree, 8)
+    triples = list(dict.fromkeys((params, *EXTRA_PARAM_SETS,
+                                  DEFAULT_PARAMS)))[:3]
+    # no E1/E2 label exists below degree 2, so adjudicate at least there
+    adj_deg = max(2, min(max_degree, 8))
     verdicts = [adjudicate_mirror_diagonals(pr, adj_deg) for pr in triples]
-    stable = all(v["E1"] == {_E1_DIAG_VARIANT} and
-                 v["E2"] == {_E2_DIAG_VARIANT} for v in verdicts)
+    stable = all(v["E1"] == {E1_DIAG_VARIANT} and
+                 v["E2"] == {E2_DIAG_VARIANT} for v in verdicts)
     shown = "; ".join(f"{pr.label()}: E1={sorted(v['E1'])} "
                       f"E2={sorted(v['E2'])}"
                       for pr, v in zip(triples, verdicts))
@@ -262,11 +259,18 @@ def _suite_cai(params: Params, max_degree: int) -> List[Case]:
     return cases
 
 
+@lru_cache(maxsize=None)
+def _proof(name: str) -> ProofResult:
+    """Symbolic proofs do not depend on the suite parameters, so the kernel
+    and superint suites share one proof of each identity."""
+    return prove_named(name)
+
+
 def _suite_kernel(params: Params, max_degree: int) -> List[Case]:
     cases = []
     for name in IDENTITY_NAMES:
         expected = IDENTITIES[name].provable
-        res = prove_named(name)
+        res = _proof(name)
         ok = res.proven == expected
         detail = res.status.lower()
         if not res.proven:
@@ -293,7 +297,7 @@ def _suite_weighted_conjugation(params: Params, max_degree: int) -> List[Case]:
 
 
 def _suite_superint(params: Params, max_degree: int) -> List[Case]:
-    res = prove_named("angular-quartic")
+    res = _proof("angular-quartic")
     cases = [Case("formal-refutation", not res.proven,
                   f"{res.status.lower()} with witness on "
                   f"{len(res.residual.parts)} elements"

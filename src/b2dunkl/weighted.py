@@ -171,14 +171,6 @@ class WeightedElem:
                 f"den={self.den})")
 
 
-def w_diff(elem: WeightedElem, var: str) -> WeightedElem:
-    return elem.diff(var)
-
-
-def w_reflect(elem: WeightedElem, g: GroupElem) -> WeightedElem:
-    return elem.reflect(g)
-
-
 def verify_weighted_conjugation(p: MPoly,
                                 params: Optional[Params] = None) -> bool:
     """Check the weight-conjugation identity for the second-order conserved

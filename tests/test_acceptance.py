@@ -20,7 +20,7 @@ from b2dunkl.operators import apply_named
 from b2dunkl.params import DEFAULT_PARAMS, EXTRA_PARAM_SETS
 from b2dunkl.poly import MPoly
 from b2dunkl.scalars import QI
-from b2dunkl.spectra import (_E1_DIAG_VARIANT, _E2_DIAG_VARIANT,
+from b2dunkl.spectra import (E1_DIAG_VARIANT, E2_DIAG_VARIANT,
                              adjudicate_mirror_diagonals, expand,
                              h0_shifted_expansion, khat_expansion, label_str,
                              predicted_h0, predicted_k)
@@ -187,8 +187,8 @@ def test_c06_quartic_tables_compared_entrywise_to_degree_12():
 
     triples = (DEFAULT_PARAMS,) + EXTRA_PARAM_SETS
     verdicts = [adjudicate_mirror_diagonals(pr, 8) for pr in triples]
-    stable = all(v["E1"] == {_E1_DIAG_VARIANT}
-                 and v["E2"] == {_E2_DIAG_VARIANT} for v in verdicts)
+    stable = all(v["E1"] == {E1_DIAG_VARIANT}
+                 and v["E2"] == {E2_DIAG_VARIANT} for v in verdicts)
     ok = not mismatches and stable
     detail = (f"{checked} entries, {len(mismatches)} mismatches; contested "
               f"diagonal signs resolve to the same variant at all 3 triples")

@@ -135,6 +135,19 @@ def test_verify_kernel_suite_lists_identities(capsys):
     assert "angular-quartic" in names
 
 
+def test_verify_k_suite_passes_below_degree_two(capsys):
+    # no mirror-family label exists below degree 2, so the contested
+    # diagonal is adjudicated at degree 2 and must pass
+    for degree in ("0", "1"):
+        code, out, _ = run(capsys, ["verify", "--suite", "k",
+                                    "--max-degree", degree])
+        assert code == 0, degree
+        cases = json.loads(out)["suites"][0]["cases"]
+        adj = [c for c in cases
+               if c["name"] == "contested-diagonal-adjudication"]
+        assert [c["status"] for c in adj] == ["pass"]
+
+
 def test_verify_report_bytes_are_stable(capsys):
     argv = ["verify", "--suite", "eigen,rho1", "--max-degree", "3"]
     code1, out1, _ = run(capsys, argv)

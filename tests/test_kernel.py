@@ -15,7 +15,8 @@ from b2dunkl.kernel import (
     IDENTITIES, IDENTITY_NAMES, KernelState, ProofResult, get_identity,
     k_apply, k_initial, prove, prove_named,
 )
-from b2dunkl.operators import Commutator, Compose, GroupOp, Mul, named
+from b2dunkl.operators import (Commutator, Compose, GroupOp, Mul, apply,
+                                monomial_span, named)
 from b2dunkl.params import Params
 from b2dunkl.poly import MPoly
 from b2dunkl.scalars import QI
@@ -97,6 +98,20 @@ def test_catalogue_verdicts():
         res = prove_named(name)
         assert res.proven == IDENTITIES[name].provable, name
         assert res.name == name
+
+
+def test_prover_agrees_with_direct_application():
+    # the prover's verdict against lhs - rhs applied to polynomials directly,
+    # at one generic numeric triple, on every monomial of degree <= 2
+    pr = Params.numeric("7/5", "2/9", "5/7")
+    monomials = monomial_span(2)
+    for name in IDENTITY_NAMES:
+        ident = IDENTITIES[name]
+        nonzero = [str(m) for m in monomials
+                   if not (apply(ident.lhs, m, pr)
+                           - apply(ident.rhs, m, pr)).is_zero()]
+        assert (not nonzero) == prove_named(name).proven, (name, nonzero)
+        assert (not nonzero) == ident.provable, (name, nonzero)
 
 
 def test_square_sum_identity_is_fast():

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from b2dunkl.kernel import IDENTITY_NAMES, prove_named
 from b2dunkl.params import DEFAULT_PARAMS, Params
 from b2dunkl.verify import SUITE_ORDER, run_suite, run_suites
 
@@ -55,3 +56,22 @@ def test_superint_suite_refutes_and_witnesses():
     assert rep.passed
     names = [c.name for c in rep.cases]
     assert names == ["formal-refutation", "spectral-witness"]
+
+
+def test_kernel_and_superint_share_one_refutation(monkeypatch):
+    from b2dunkl import verify
+    calls = []
+
+    def counting(name):
+        calls.append(name)
+        return prove_named(name)
+
+    verify._proof.cache_clear()
+    monkeypatch.setattr(verify, "prove_named", counting)
+    try:
+        reports = run_suites(["kernel", "superint"], DEFAULT_PARAMS, 0)
+    finally:
+        verify._proof.cache_clear()
+    assert all(r.passed for r in reports)
+    assert calls.count("angular-quartic") == 1
+    assert sorted(calls) == sorted(IDENTITY_NAMES)
