@@ -5,7 +5,10 @@ All output is deterministic: rationals are rendered as "p/q" strings, no
 timestamps or environment data appear, and repeated runs with the same
 configuration produce byte-identical bytes.  Exit codes: 0 when everything
 requested checks out, 1 when a verification or proof fails, 2 for
-configuration errors (bad flags, bad rationals, non-generic parameters).
+configuration errors (bad flags, bad rationals, non-generic parameters),
+3 for an internal arithmetic error (a division by zero, or an exact
+division that left a remainder), which is a fault of the program and not
+a verdict.
 
 Every flag can also be set through an environment variable with the
 ``B2DUNKL_`` prefix (``B2DUNKL_K0``, ``B2DUNKL_MAX_DEGREE``, ...); explicit
@@ -376,6 +379,10 @@ def main(argv: Optional[Sequence[str]] = None,
         msg = exc.args[0] if exc.args else str(exc)
         print(f"b2dunkl: error: {msg}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        print(f"b2dunkl: internal error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

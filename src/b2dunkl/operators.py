@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, Tuple
 
 from .group import (GroupElem, act, central_element_terms, ell, elem_name,
@@ -77,10 +78,43 @@ def reflection_quotients(var: str, p: MPoly, params: Params):
         yield j, (-QI.i_power(j) * quot if var == "zb" else quot)
 
 
-def apply_dunkl(var: str, p: MPoly, params: Params) -> MPoly:
-    """First-order Dunkl operator in the z or zb direction."""
+def _direct_dunkl(var: str, p: MPoly, params: Params) -> MPoly:
     return sum((q for _, q in reflection_quotients(var, p, params)),
                p.diff(var))
+
+
+def _zzb_exponent(vars_: Tuple[str, ...], exp) -> Tuple[int, int]:
+    powers = dict(zip(vars_, exp))
+    return powers.get("z", 0), powers.get("zb", 0)
+
+
+@lru_cache(maxsize=None)
+def _monomial_image(var: str, a: int, b: int,
+                    params: Params) -> Tuple[Tuple[Tuple[int, int], QI], ...]:
+    """Terms ((a', b'), c) of the Dunkl image of z^a zb^b at numeric
+    couplings, computed once by the direct difference quotient."""
+    image = _direct_dunkl(var, MPoly(("z", "zb"), {(a, b): 1}), params)
+    return tuple((_zzb_exponent(image.vars, exp), c)
+                 for exp, c in image.terms.items())
+
+
+def apply_dunkl(var: str, p: MPoly, params: Params) -> MPoly:
+    """First-order Dunkl operator in the z or zb direction.
+
+    The operator is linear, so at numeric couplings a polynomial in z, zb
+    is mapped term by term through the memoised monomial images; anything
+    else (symbolic couplings, other variables) takes the direct quotient.
+    """
+    if params.is_symbolic or not set(p.vars) <= {"z", "zb"}:
+        return _direct_dunkl(var, p, params)
+    out: Dict[Tuple[int, int], QI] = {}
+    for exp, c in p.terms.items():
+        a, b = _zzb_exponent(p.vars, exp)
+        for key, ic in _monomial_image(var, a, b, params):
+            term = c * ic
+            prev = out.get(key)
+            out[key] = term + prev if prev is not None else term
+    return MPoly(("z", "zb"), out)
 
 
 def evaluate(expr: Expr, x, params: Params, recurse, dunkl, group_act):

@@ -5,9 +5,10 @@ import json
 
 import pytest
 
+from b2dunkl import operators, spectra
 from b2dunkl.cli import main
 from b2dunkl.operators import Commutator, Mul, expr_to_json, named
-from b2dunkl.poly import MPoly
+from b2dunkl.poly import ExactDivisionError, MPoly
 
 Z = MPoly.var("z")
 ZB = MPoly.var("zb")
@@ -85,6 +86,19 @@ def test_non_generic_parameters_exit_two(capsys):
     assert "generic" in err
 
 
+def test_internal_arithmetic_error_exits_three(capsys, monkeypatch):
+    # a crash must not read as a refutation (status 1)
+    def broken(var, p, params):
+        raise ExactDivisionError("nonzero remainder")
+
+    monkeypatch.setattr(operators, "apply_dunkl", broken)
+    code, out, err = run(capsys, ["apply", "--op", "T", "--label", "1,0"])
+    assert code == 3
+    assert out == ""
+    assert err == ("b2dunkl: internal error: ExactDivisionError: "
+                   "nonzero remainder\n")
+
+
 def test_bad_rational_flag_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["table", "k", "--degree", "1", "--k0", "0.5"], env={})
@@ -146,6 +160,28 @@ def test_verify_k_suite_passes_below_degree_two(capsys):
         adj = [c for c in cases
                if c["name"] == "contested-diagonal-adjudication"]
         assert [c["status"] for c in adj] == ["pass"]
+
+
+def test_memoised_dunkl_report_matches_direct_quotient(capsys, monkeypatch):
+    # the same process, once through the monomial memo and once through the
+    # direct difference quotient, each from cold caches
+    argv = ["verify", "--suite", "k", "--max-degree", "4"]
+    caches = (operators._monomial_image, spectra._level_solver,
+              spectra.h0_shifted_expansion, spectra.khat_expansion,
+              spectra.j2_expansion)
+    outputs, memo_sizes = [], []
+    for direct in (False, True):
+        if direct:
+            monkeypatch.setattr(operators, "apply_dunkl",
+                                operators._direct_dunkl)
+        for cache in caches:
+            cache.cache_clear()
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        outputs.append(out)
+        memo_sizes.append(operators._monomial_image.cache_info().currsize)
+    assert memo_sizes[0] > 0 and memo_sizes[1] == 0
+    assert outputs[0] == outputs[1]
 
 
 def test_verify_report_bytes_are_stable(capsys):

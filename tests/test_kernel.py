@@ -9,6 +9,7 @@ import time
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from b2dunkl.group import ALL_ELEMENTS, IDENTITY, mul, reflection, rotation
 from b2dunkl.kernel import (
@@ -112,6 +113,47 @@ def test_prover_agrees_with_direct_application():
                            - apply(ident.rhs, m, pr)).is_zero()]
         assert (not nonzero) == prove_named(name).proven, (name, nonzero)
         assert (not nonzero) == ident.provable, (name, nonzero)
+
+
+couplings = st.fractions(min_value=0, max_value=3, max_denominator=12)
+
+
+@st.composite
+def numeric_triples(draw):
+    k0, k1 = draw(couplings), draw(couplings)
+    assume(k0 + k1 not in (0, 1))
+    w = draw(st.fractions(min_value=Q(1, 12), max_value=3,
+                          max_denominator=12))
+    return Params(k0, k1, w)
+
+
+@st.composite
+def cubic_polys(draw):
+    terms = {}
+    for _ in range(draw(st.integers(0, 6))):
+        a = draw(st.integers(0, 3))
+        b = draw(st.integers(0, 3 - a))
+        terms[(a, b)] = QI(draw(st.fractions(-9, 9, max_denominator=6)),
+                           draw(st.fractions(-9, 9, max_denominator=6)))
+    return MPoly(("z", "zb"), terms)
+
+
+@given(cubic_polys(), numeric_triples())
+@settings(max_examples=8, deadline=None)
+def test_direct_application_agrees_with_catalogue_verdicts(p, pr):
+    # every provable identity (the prover's verdicts are pinned by
+    # test_catalogue_verdicts) annihilates a drawn polynomial of degree <= 3
+    # at a drawn numeric triple; the refuted one is nonzero on the degree <= 2
+    # monomials there
+    for name in IDENTITY_NAMES:
+        ident = IDENTITIES[name]
+        if ident.provable:
+            residual = apply(ident.lhs, p, pr) - apply(ident.rhs, p, pr)
+            assert residual.is_zero(), name
+        else:
+            assert any(not (apply(ident.lhs, m, pr)
+                            - apply(ident.rhs, m, pr)).is_zero()
+                       for m in monomial_span(2)), name
 
 
 def test_square_sum_identity_is_fast():

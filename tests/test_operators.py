@@ -4,11 +4,13 @@ identities that tie the named second- and fourth-order operators together."""
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from b2dunkl import operators
 from b2dunkl.group import ALL_ELEMENTS, act, central_element_apply, inv
 from b2dunkl.operators import (
-    Commutator, apply, apply_named, expr_from_json, expr_to_json,
-    monomial_span, named,
+    Commutator, apply, apply_dunkl, apply_named, expr_from_json,
+    expr_to_json, monomial_span, named, reflection_quotients,
 )
 from b2dunkl.params import DEFAULT_PARAMS, Params
 from b2dunkl.poly import MPoly
@@ -51,6 +53,55 @@ def test_first_order_numeric_matches_symbolic_instantiation():
     for params in (DEFAULT_PARAMS, Params.numeric("7/5", "2/9", "5/7")):
         assert T(p, params) == params.instantiate(T(p))
         assert Tb(p, params) == params.instantiate(Tb(p))
+
+
+gaussian_ints = st.tuples(st.integers(-9, 9), st.integers(-9, 9)).filter(
+    any).map(lambda t: QI(*t))
+couplings = st.fractions(min_value=0, max_value=3, max_denominator=12)
+
+
+@st.composite
+def numeric_triples(draw):
+    k0, k1 = draw(couplings), draw(couplings)
+    assume(k0 + k1 not in (0, 1))
+    w = draw(st.fractions(min_value=Q(1, 12), max_value=3,
+                          max_denominator=12))
+    return Params(k0, k1, w)
+
+
+@st.composite
+def polys(draw, spectators=()):
+    """Degree <= 6 in z, zb with nonzero Gaussian-integer coefficients,
+    times powers of the spectator variables."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 6))):
+        a = draw(st.integers(0, 6))
+        b = draw(st.integers(0, 6 - a))
+        rest = tuple(draw(st.integers(0, 2)) for _ in spectators)
+        terms[(a, b) + rest] = draw(gaussian_ints)
+    return MPoly(("z", "zb") + spectators, terms)
+
+
+def direct_dunkl(var, p, params):
+    return sum((q for _, q in reflection_quotients(var, p, params)),
+               p.diff(var))
+
+
+@given(polys(), numeric_triples())
+@settings(max_examples=60, deadline=None)
+def test_memoised_dunkl_matches_direct_quotient(p, params):
+    for var in ("z", "zb"):
+        assert apply_dunkl(var, p, params) == direct_dunkl(var, p, params)
+
+
+@given(st.sampled_from([("u",), ("w",)]).flatmap(polys), numeric_triples())
+@settings(max_examples=30, deadline=None)
+def test_dunkl_with_spectator_variables_takes_direct_quotient(p, params):
+    before = operators._monomial_image.cache_info()
+    for var in ("z", "zb"):
+        assert apply_dunkl(var, p, params) == direct_dunkl(var, p, params)
+    if set(p.vars) - {"z", "zb"}:
+        assert operators._monomial_image.cache_info() == before
 
 
 def test_first_order_lowers_degree():
