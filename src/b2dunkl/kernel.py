@@ -67,7 +67,7 @@ class KernelState:
         return self.parts == other.parts
 
     def __hash__(self):
-        return hash(tuple(self.items()))
+        raise TypeError("unhashable; compare with ==")
 
     def __add__(self, other: "KernelState") -> "KernelState":
         acc = dict(self.parts)

@@ -14,9 +14,10 @@ Dunkl operators rests; it raises if the division leaves a remainder.
 
 from __future__ import annotations
 
+from operator import add, itemgetter
 from typing import Dict, Iterable, Mapping, Tuple, Union
 
-from .scalars import QI, ScalarLike, format_rat, parse_rat
+from .scalars import ONE, QI, ScalarLike, format_rat, parse_rat
 
 _UNIVERSE = ("z", "zb", "u", "ub", "k0", "k1", "w")
 _UNIVERSE_INDEX = {name: i for i, name in enumerate(_UNIVERSE)}
@@ -50,7 +51,7 @@ class MPoly:
                        key=lambda i: _UNIVERSE_INDEX[names[i]])
         names_sorted = tuple(names[i] for i in order)
 
-        clean: Dict[Exponent, QI] = {}
+        merged: Dict[Exponent, QI] = {}
         for exp, c in (terms or {}).items():
             c = QI.of(c)
             if not c:
@@ -58,27 +59,10 @@ class MPoly:
             if len(exp) != len(names):
                 raise ValueError("exponent arity mismatch")
             key = tuple(exp[i] for i in order)
-            prev = clean.get(key)
-            c = c + prev if prev is not None else c
-            if c:
-                clean[key] = c
-            elif prev is not None:
-                del clean[key]
+            prev = merged.get(key)
+            merged[key] = c + prev if prev is not None else c
 
-        if clean:
-            used = [False] * len(names_sorted)
-            for exp in clean:
-                for i, e in enumerate(exp):
-                    if e:
-                        used[i] = True
-            if not all(used):
-                keep = [i for i, u in enumerate(used) if u]
-                names_sorted = tuple(names_sorted[i] for i in keep)
-                clean = {tuple(exp[i] for i in keep): c
-                         for exp, c in clean.items()}
-        else:
-            names_sorted = ()
-
+        names_sorted, clean = _trim(names_sorted, merged)
         object.__setattr__(self, "vars", names_sorted)
         object.__setattr__(self, "terms", clean)
 
@@ -93,11 +77,13 @@ class MPoly:
 
     @classmethod
     def const(cls, c: ScalarLike) -> "MPoly":
-        return cls((), {(): QI.of(c)})
+        return _trusted((), {(): QI.of(c)})
 
     @classmethod
     def var(cls, name: str) -> "MPoly":
-        return cls((name,), {(1,): QI(1)})
+        if name not in _UNIVERSE_INDEX:
+            raise ValueError(f"unknown variable {name!r}")
+        return _trusted((name,), {(1,): ONE})
 
     # ---- predicates and views -----------------------------------------
 
@@ -169,16 +155,12 @@ class MPoly:
         for exp, c in b.items():
             prev = out.get(exp)
             out[exp] = c + prev if prev is not None else c
-        return MPoly(vars_, out)
+        return _trusted(vars_, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MPoly":
-        out = MPoly.__new__(MPoly)
-        object.__setattr__(out, "vars", self.vars)
-        object.__setattr__(out, "terms",
-                           {e: -c for e, c in self.terms.items()})
-        return out
+        return _trusted(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "MPoly":
         return self + (-self._coerce(other))
@@ -194,11 +176,11 @@ class MPoly:
         out: Dict[Exponent, QI] = {}
         for ea, ca in a.items():
             for eb, cb in b.items():
-                exp = tuple(x + y for x, y in zip(ea, eb))
+                exp = tuple(map(add, ea, eb))
                 c = ca * cb
                 prev = out.get(exp)
                 out[exp] = c + prev if prev is not None else c
-        return MPoly(vars_, out)
+        return _trusted(vars_, out)
 
     __rmul__ = __mul__
 
@@ -229,7 +211,7 @@ class MPoly:
             nc = c * e
             prev = out.get(nexp)
             out[nexp] = nc + prev if prev is not None else nc
-        return MPoly(self.vars, out)
+        return _trusted(self.vars, out)
 
     def subst(self, mapping: Mapping[str, Union["MPoly", ScalarLike]]) -> "MPoly":
         """Simultaneous substitution; unmapped variables stay themselves."""
@@ -287,7 +269,7 @@ class MPoly:
                     raise ExactDivisionError("monomial divisor does not "
                                              "divide all terms")
                 out[exp[:xi] + (exp[xi] - 1,) + exp[xi + 1:]] = c / a
-            return MPoly(vars_, out)
+            return _trusted(vars_, out)
 
         (yexp, b) = next(kv for kv in dterms if kv[0] != xexp)
         yi = yexp.index(1)
@@ -330,7 +312,7 @@ class MPoly:
             for red, c in bucket.items():
                 if c:
                     out[red[:xi] + (k,) + red[xi:]] = c / a
-        return MPoly(vars_, out)
+        return _trusted(vars_, out)
 
     # ---- serialization -------------------------------------------------
 
@@ -378,9 +360,38 @@ class MPoly:
 
 def _remap(terms: Mapping[Exponent, QI], src: Tuple[str, ...],
            dst: Tuple[str, ...]) -> Dict[Exponent, QI]:
+    # position -1 reads the 0 appended to every exponent
     pos = [src.index(v) if v in src else -1 for v in dst]
-    return {tuple(exp[p] if p >= 0 else 0 for p in pos): c
-            for exp, c in terms.items()}
+    if len(pos) == 1:
+        p = pos[0]
+        return {((exp + (0,))[p],): c for exp, c in terms.items()}
+    get = itemgetter(*pos)
+    return {get(exp + (0,)): c for exp, c in terms.items()}
+
+
+def _trim(vars_: Tuple[str, ...], terms: Dict[Exponent, QI]):
+    """Drop zero coefficients, then the variables no remaining term uses."""
+    clean = {exp: c for exp, c in terms.items() if c}
+    if not clean:
+        return (), clean
+    used = [any(col) for col in zip(*clean)]
+    if not all(used):
+        keep = [i for i, u in enumerate(used) if u]
+        vars_ = tuple(vars_[i] for i in keep)
+        clean = {tuple(exp[i] for i in keep): c for exp, c in clean.items()}
+    return vars_, clean
+
+
+def _trusted(vars_: Tuple[str, ...], terms: Dict[Exponent, QI]) -> MPoly:
+    """The result of a ring operation: ``vars_`` in universe order, exponent
+    tuples of that arity, every key once and every coefficient a QI.  Only
+    zero coefficients and unused variables are removed; nothing is
+    validated, unlike ``MPoly(vars, terms)``."""
+    vars_, terms = _trim(vars_, terms)
+    out = MPoly.__new__(MPoly)
+    object.__setattr__(out, "vars", vars_)
+    object.__setattr__(out, "terms", terms)
+    return out
 
 
 _ZERO = MPoly((), {})

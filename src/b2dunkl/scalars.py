@@ -1,13 +1,20 @@
 """Exact scalar arithmetic over the Gaussian rationals.
 
 Every number in this package is either a ``fractions.Fraction`` or a ``QI``,
-a complex number with rational real and imaginary parts.  There is no floating
-point anywhere; equality of computed quantities always means exact equality.
+a complex number with rational real and imaginary parts.  A ``QI`` stores one
+canonical triple of integers ``(a, b, d)`` meaning ``(a + b*i) / d``, with
+``d > 0`` and ``gcd(a, b, d) == 1``, so equal values have equal triples.  Each
+operation is integer arithmetic followed by at most one three-argument
+``math.gcd`` (rational arithmetic that normalises once, Knuth, TAOCP vol. 2,
+4.5.1); the real and imaginary parts are read back as ``Fraction``s through
+``.re`` and ``.im``.  There is no floating point anywhere; equality of
+computed quantities always means exact equality.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Union
 
 Q = Fraction
@@ -37,16 +44,25 @@ def format_rat(value: RatLike) -> str:
 
 
 class QI:
-    """Gaussian rational re + im*i with exact field arithmetic."""
+    """Gaussian rational (a + b*i)/d with exact field arithmetic.
 
-    __slots__ = ("re", "im")
+    Treat instances as immutable: the triple is canonical and hashed.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re: RatLike = 0, im: RatLike = 0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QI is immutable")
+        if type(re) is int and type(im) is int:
+            self._a, self._b, self._d = re, im, 1
+            return
+        re, im = Fraction(re), Fraction(im)
+        q, s = re.denominator, im.denominator
+        # over the least common denominator of two reduced fractions the
+        # triple is already coprime
+        d = q // gcd(q, s) * s
+        self._a = re.numerator * (d // q)
+        self._b = im.numerator * (d // s)
+        self._d = d
 
     @classmethod
     def of(cls, value: ScalarLike) -> "QI":
@@ -61,83 +77,136 @@ class QI:
         """i**k for any integer k."""
         return _I_POWERS[k % 4]
 
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
+
+    @property
+    def triple(self):
+        """The canonical (a, b, d) with self == (a + b*i)/d."""
+        return self._a, self._b, self._d
+
     def conj(self) -> "QI":
-        return QI(self.re, -self.im)
+        return _qi(self._a, -self._b, self._d)
 
     def is_real(self) -> bool:
-        return self.im == 0
+        return self._b == 0
 
     def __bool__(self) -> bool:
-        return self.re != 0 or self.im != 0
+        return self._a != 0 or self._b != 0
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = QI(other)
-        if not isinstance(other, QI):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if type(other) is not QI:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        return (self._a == other._a and self._b == other._b
+                and self._d == other._d)
 
     def __hash__(self):
-        # matches hash of plain rationals when imaginary part vanishes
-        return hash((self.re, self.im))
-
-    @staticmethod
-    def _as_scalar(other):
-        if isinstance(other, QI):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QI(other)
-        return None
+        # a real value hashes like the equal int or Fraction
+        if self._b == 0:
+            return hash(self.re)
+        return hash((self._a, self._b, self._d))
 
     def __add__(self, other: ScalarLike) -> "QI":
-        o = self._as_scalar(other)
-        if o is None:
-            return NotImplemented
-        return QI(self.re + o.re, self.im + o.im)
+        if type(other) is not QI:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        a1, b1, d1 = self._a, self._b, self._d
+        a2, b2, d2 = other._a, other._b, other._d
+        if d1 == d2:
+            if d1 == 1:
+                return _qi(a1 + a2, b1 + b2, 1)
+            return _reduced(a1 + a2, b1 + b2, d1)
+        # adding a Gaussian integer keeps the triple coprime
+        if d2 == 1:
+            return _qi(a1 + a2 * d1, b1 + b2 * d1, d1)
+        if d1 == 1:
+            return _qi(a1 * d2 + a2, b1 * d2 + b2, d2)
+        return _reduced(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __sub__(self, other: ScalarLike) -> "QI":
-        o = self._as_scalar(other)
-        if o is None:
-            return NotImplemented
-        return QI(self.re - o.re, self.im - o.im)
+        if type(other) is not QI:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        return self + _qi(-other._a, -other._b, other._d)
 
     def __rsub__(self, other: ScalarLike) -> "QI":
-        o = self._as_scalar(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
         return o - self
 
     def __neg__(self) -> "QI":
-        return QI(-self.re, -self.im)
+        return _qi(-self._a, -self._b, self._d)
 
     def __mul__(self, other: ScalarLike) -> "QI":
-        o = self._as_scalar(other)
-        if o is None:
-            return NotImplemented
-        return QI(self.re * o.re - self.im * o.im,
-                  self.re * o.im + self.im * o.re)
+        if type(other) is not QI:
+            if type(other) is int:
+                if other == 0:
+                    return ZERO
+                # gcd(a*n, b*n, d) == gcd(n, d) for a coprime triple
+                d = self._d
+                if d != 1:
+                    g = gcd(other, d)
+                    if g != 1:
+                        other //= g
+                        d //= g
+                return _qi(self._a * other, self._b * other, d)
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        a1, b1, d1 = self._a, self._b, self._d
+        a2, b2, d2 = other._a, other._b, other._d
+        if b1 == 0 and b2 == 0:
+            a, b = a1 * a2, 0
+        else:
+            a, b = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
+        d = d1 * d2
+        if d == 1:
+            return _qi(a, b, 1)
+        return _reduced(a, b, d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: ScalarLike) -> "QI":
-        o = self._as_scalar(other)
-        if o is None:
-            return NotImplemented
-        n = o.re * o.re + o.im * o.im
-        if n == 0:
-            raise ZeroDivisionError("division by zero scalar")
-        return QI((self.re * o.re + self.im * o.im) / n,
-                  (self.im * o.re - self.re * o.im) / n)
+        if type(other) is not QI:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        a1, b1, d1 = self._a, self._b, self._d
+        a2, b2, d2 = other._a, other._b, other._d
+        if b2 == 0:
+            if a2 == 0:
+                raise ZeroDivisionError("division by zero scalar")
+            if a2 == 1 and d2 == 1:
+                return self
+            if a2 < 0:
+                a2, d2 = -a2, -d2
+            return _reduced(a1 * d2, b1 * d2, d1 * a2)
+        n = a2 * a2 + b2 * b2
+        return _reduced((a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2,
+                        d1 * n)
 
     def __rtruediv__(self, other: ScalarLike) -> "QI":
-        return QI.of(other) / self
+        o = _coerce(other)
+        if o is None:
+            return NotImplemented
+        return o / self
 
     def __pow__(self, k: int) -> "QI":
         if k < 0:
-            return QI(1) / self ** (-k)
-        out = QI(1)
+            return ONE / self ** (-k)
+        out = ONE
         base = self
         while k:
             if k & 1:
@@ -150,9 +219,44 @@ class QI:
         return f"QI({self.re!r}, {self.im!r})"
 
     def __str__(self) -> str:
-        if self.im == 0:
+        if self._b == 0:
             return format_rat(self.re)
         return f"{format_rat(self.re)}+{format_rat(self.im)}i"
+
+
+_new = object.__new__
+
+
+def _qi(a: int, b: int, d: int) -> QI:
+    """A QI from a triple that is already canonical."""
+    q = _new(QI)
+    q._a = a
+    q._b = b
+    q._d = d
+    return q
+
+
+def _reduced(a: int, b: int, d: int) -> QI:
+    """The canonical QI for (a + b*i)/d, given d > 0."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    q = _new(QI)
+    q._a = a
+    q._b = b
+    q._d = d
+    return q
+
+
+def _coerce(value) -> Union[QI, None]:
+    """An int or Fraction as a QI; None for anything that is not a scalar."""
+    if isinstance(value, int):
+        return _qi(value, 0, 1)
+    if isinstance(value, Fraction):
+        return _qi(value.numerator, 0, value.denominator)
+    return None
 
 
 _I_POWERS = (QI(1), QI(0, 1), QI(-1), QI(0, -1))

@@ -45,6 +45,15 @@ def test_seed_state_and_serialization():
         seed.parts = {}
 
 
+def test_state_is_unhashable():
+    # equality compares polynomial amplitudes, which do not hash
+    state = KernelState({reflection(1): Z * U + 2})
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(state)
+    with pytest.raises(TypeError):
+        {state: 1}
+
+
 def test_conjugate_generator_on_seed():
     state = k_apply(named("Tb"), k_initial())
     assert state == KernelState({IDENTITY: Q(1, 2) * U})

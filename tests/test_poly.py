@@ -171,3 +171,65 @@ def test_diff_is_a_derivation(p):
     lhs = (p * q).diff("z")
     rhs = p.diff("z") * q + p * q.diff("z")
     assert lhs == rhs
+
+
+# --- ring-operation results against the validating constructor ----------
+
+U = MPoly.var("u")
+W = MPoly.var("w")
+gauss = st.builds(QI, st.integers(-3, 3), st.integers(-3, 3))
+
+
+@st.composite
+def mixed_polys(draw):
+    """Polynomials over a drawn subset of variables, in a drawn order, with
+    coefficients that often cancel under + and -."""
+    names = draw(st.lists(st.sampled_from(("z", "zb", "u", "w")),
+                          unique=True, max_size=3))
+    terms = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        exp = tuple(draw(st.integers(min_value=0, max_value=2))
+                    for _ in names)
+        terms[exp] = draw(gauss)
+    return MPoly(names, terms)
+
+
+def assert_canonical(r):
+    rebuilt = MPoly(r.vars, dict(r.terms))
+    assert r.vars == rebuilt.vars and r.terms == rebuilt.terms
+    assert all(type(c) is QI and c for c in r.terms.values())
+
+
+def test_cancellation_removes_variables():
+    assert ((Z + U) - U).vars == ("z",)
+    assert (Z * U - U * Z).vars == () and (Z * U - U * Z).is_zero()
+    assert ((Z + ZB) * (Z - ZB) + ZB**2).vars == ("z",)
+    assert (Z * U + W).diff("z").vars == ("u",)
+    assert ((ZB * U + W * Z) - W * Z).divide_linear(ZB).vars == ("u",)
+    for r in ((Z + U) - U, (Z * U + W).diff("z"), (U + 1) * (U - 1) - U * U):
+        assert_canonical(r)
+
+
+@given(mixed_polys(), mixed_polys(), mixed_polys())
+@settings(max_examples=80)
+def test_ring_results_equal_validated_rebuild(p, q, r):
+    for res in (p + q, p - q, p * q, (p + q) - q, p * (q + r) - p * r,
+                p + (-p), -p):
+        assert_canonical(res)
+    assert (p + q) - q == p
+    for name in ("z", "zb", "u", "w", "k0"):
+        assert_canonical(p.diff(name))
+        assert_canonical((p * q).diff(name))
+
+
+@given(mixed_polys(), mixed_polys(), st.integers(min_value=0, max_value=3),
+       st.sampled_from(("zb", "u", "w")))
+@settings(max_examples=60)
+def test_divide_linear_results_equal_validated_rebuild(p, q, j, other):
+    lines = (Z - QI.i_power(j) * MPoly.var(other), 3 * U - QI(1, 2) * W,
+             QI(0, 2) * MPoly.var(other))
+    for d in lines:
+        for num in (p * d, (p + q) * d - q * d):
+            res = num.divide_linear(d)
+            assert_canonical(res)
+            assert res == p
