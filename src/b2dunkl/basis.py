@@ -56,7 +56,6 @@ def laguerre_coeffs(n: int, alpha: Fraction) -> List[Fraction]:
     return c
 
 
-@lru_cache(maxsize=None)
 def jacobi_homogeneous(n: int, alpha: Fraction, beta: Fraction) -> MPoly:
     """Degree-4n fully even homogenization of a Jacobi polynomial.
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from .poly import MPoly
+from .poly import MPoly, from_terms
 from .scalars import QI
 
 
@@ -71,31 +71,18 @@ def parse_elem(name: str) -> GroupElem:
 def act(g: GroupElem, p: MPoly) -> MPoly:
     """Action on polynomials: (g.p)(x) = p(x moved by g).
 
-    Only the coordinates z, zb transform; all other variables are spectators.
+    Only the coordinates z, zb (the first two exponents) transform; all
+    other variables are spectators.  The map on exponents is one-to-one, so
+    the image needs no merging.
     """
-    zi = p.vars.index("z") if "z" in p.vars else -1
-    zbi = p.vars.index("zb") if "zb" in p.vars else -1
-    if (zi < 0 and zbi < 0) or g == IDENTITY:
+    if g == IDENTITY:
         return p
-    swap_both = g.refl and zi >= 0 and zbi >= 0
     out = {}
     for exp, c in p.terms.items():
-        ez = exp[zi] if zi >= 0 else 0
-        ezb = exp[zbi] if zbi >= 0 else 0
-        nc = QI.i_power(g.k * (ez - ezb)) * c
-        if swap_both:
-            lexp = list(exp)
-            lexp[zi], lexp[zbi] = ezb, ez
-            nexp = tuple(lexp)
-        else:
-            nexp = exp
-        prev = out.get(nexp)
-        out[nexp] = nc + prev if prev is not None else nc
-    vars_ = p.vars
-    if g.refl and not swap_both:
-        # a reflection turns a pure-z polynomial into a pure-zb one
-        vars_ = tuple({"z": "zb", "zb": "z"}.get(v, v) for v in vars_)
-    return MPoly(vars_, out)
+        ez, ezb = exp[0], exp[1]
+        nexp = (ezb, ez) + exp[2:] if g.refl else exp
+        out[nexp] = QI.i_power(g.k * (ez - ezb)) * c
+    return from_terms(out)
 
 
 def transform_pair(g: GroupElem, pair: Tuple[MPoly, MPoly]) -> Tuple[MPoly, MPoly]:

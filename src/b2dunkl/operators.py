@@ -17,12 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 from typing import Dict, Tuple
 
 from .group import (GroupElem, act, central_element_terms, ell, elem_name,
                     parse_elem, reflection)
 from .params import Params
-from .poly import MPoly
+from .poly import Exponent, MPoly, from_terms
 from .scalars import QI
 
 
@@ -83,38 +84,34 @@ def _direct_dunkl(var: str, p: MPoly, params: Params) -> MPoly:
                p.diff(var))
 
 
-def _zzb_exponent(vars_: Tuple[str, ...], exp) -> Tuple[int, int]:
-    powers = dict(zip(vars_, exp))
-    return powers.get("z", 0), powers.get("zb", 0)
-
-
 @lru_cache(maxsize=None)
 def _monomial_image(var: str, a: int, b: int,
-                    params: Params) -> Tuple[Tuple[Tuple[int, int], QI], ...]:
-    """Terms ((a', b'), c) of the Dunkl image of z^a zb^b at numeric
-    couplings, computed once by the direct difference quotient."""
+                    params: Params) -> Tuple[Tuple[Exponent, QI], ...]:
+    """Terms (exponent, c) of the Dunkl image of z^a zb^b, computed once by
+    the direct difference quotient; symbolic couplings appear in them as
+    k0, k1."""
     image = _direct_dunkl(var, MPoly(("z", "zb"), {(a, b): 1}), params)
-    return tuple((_zzb_exponent(image.vars, exp), c)
-                 for exp, c in image.terms.items())
+    return tuple(image.terms.items())
 
 
 def apply_dunkl(var: str, p: MPoly, params: Params) -> MPoly:
     """First-order Dunkl operator in the z or zb direction.
 
-    The operator is linear, so at numeric couplings a polynomial in z, zb
-    is mapped term by term through the memoised monomial images; anything
-    else (symbolic couplings, other variables) takes the direct quotient.
+    The operator is linear and treats every variable other than z, zb as a
+    constant, so a term c z^a zb^b s, with s its spectator cofactor, maps to
+    c s times the memoised image of z^a zb^b.
     """
-    if params.is_symbolic or not set(p.vars) <= {"z", "zb"}:
-        return _direct_dunkl(var, p, params)
-    out: Dict[Tuple[int, int], QI] = {}
+    out: Dict[Exponent, QI] = {}
     for exp, c in p.terms.items():
-        a, b = _zzb_exponent(p.vars, exp)
-        for key, ic in _monomial_image(var, a, b, params):
+        rest = exp[2:]
+        spectators = any(rest)
+        for iexp, ic in _monomial_image(var, exp[0], exp[1], params):
+            key = (iexp[:2] + tuple(map(add, iexp[2:], rest)) if spectators
+                   else iexp)
             term = c * ic
             prev = out.get(key)
             out[key] = term + prev if prev is not None else term
-    return MPoly(("z", "zb"), out)
+    return from_terms(out)
 
 
 def evaluate(expr: Expr, x, params: Params, recurse, dunkl, group_act):

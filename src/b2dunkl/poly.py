@@ -2,9 +2,12 @@
 
 Variables come from a fixed universe: the point coordinates ``z``/``zb``, a
 second point ``u``/``ub`` used by reproducing-kernel states, the two coupling
-parameters ``k0``/``k1`` and the frequency ``w``.  A polynomial stores only
-the variables it actually uses, always listed in universe order, so equal
-polynomials compare equal regardless of how they were built.
+parameters ``k0``/``k1`` and the frequency ``w``.  Every exponent is a tuple
+over the whole universe, in the order of ``UNIVERSE``, so polynomials share
+one layout and no operation aligns variables; equal polynomials compare
+equal regardless of how they were built.  ``vars`` lists the variables some
+term uses, and the public constructor, serialization and display speak in
+those variables only.
 
 Coefficients are :class:`~b2dunkl.scalars.QI`.  All operations are exact.
 ``divide_linear`` performs the exact division by a homogeneous linear form
@@ -14,13 +17,14 @@ Dunkl operators rests; it raises if the division leaves a remainder.
 
 from __future__ import annotations
 
-from operator import add, itemgetter
-from typing import Dict, Iterable, Mapping, Tuple, Union
+from operator import add
+from typing import Dict, Iterable, Mapping, Tuple
 
 from .scalars import ONE, QI, ScalarLike, format_rat, parse_rat
 
-_UNIVERSE = ("z", "zb", "u", "ub", "k0", "k1", "w")
-_UNIVERSE_INDEX = {name: i for i, name in enumerate(_UNIVERSE)}
+UNIVERSE = ("z", "zb", "u", "ub", "k0", "k1", "w")
+_UNIVERSE_INDEX = {name: i for i, name in enumerate(UNIVERSE)}
+_CONST = (0,) * len(UNIVERSE)
 
 Exponent = Tuple[int, ...]
 
@@ -35,21 +39,23 @@ def _term_sort_key(exp: Exponent):
 
 
 class MPoly:
-    """Immutable sparse polynomial. Do not mutate ``terms`` from outside."""
+    """Immutable sparse polynomial. Do not mutate ``terms`` from outside.
 
-    __slots__ = ("vars", "terms")
+    ``terms`` maps exponent tuples over ``UNIVERSE`` to nonzero coefficients.
+    """
+
+    __slots__ = ("terms",)
 
     def __init__(self, vars: Iterable[str] = (),
                  terms: Mapping[Exponent, ScalarLike] = None):
+        """Polynomial from exponents listed over ``vars``, in any order."""
         names = tuple(vars)
         for name in names:
             if name not in _UNIVERSE_INDEX:
                 raise ValueError(f"unknown variable {name!r}")
         if len(set(names)) != len(names):
             raise ValueError("repeated variable")
-        order = sorted(range(len(names)),
-                       key=lambda i: _UNIVERSE_INDEX[names[i]])
-        names_sorted = tuple(names[i] for i in order)
+        pos = [_UNIVERSE_INDEX[name] for name in names]
 
         merged: Dict[Exponent, QI] = {}
         for exp, c in (terms or {}).items():
@@ -58,16 +64,31 @@ class MPoly:
                 continue
             if len(exp) != len(names):
                 raise ValueError("exponent arity mismatch")
-            key = tuple(exp[i] for i in order)
+            key = list(_CONST)
+            for i, e in zip(pos, exp):
+                key[i] = e
+            key = tuple(key)
             prev = merged.get(key)
             merged[key] = c + prev if prev is not None else c
-
-        names_sorted, clean = _trim(names_sorted, merged)
-        object.__setattr__(self, "vars", names_sorted)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms",
+                           {e: c for e, c in merged.items() if c})
 
     def __setattr__(self, name, value):
         raise AttributeError("MPoly is immutable")
+
+    @property
+    def vars(self) -> Tuple[str, ...]:
+        """The variables some term uses, in universe order."""
+        return tuple(UNIVERSE[i] for i in self._used())
+
+    def _used(self):
+        return [i for i, col in enumerate(zip(*self.terms)) if any(col)]
+
+    def _projected(self) -> Dict[Exponent, QI]:
+        """``terms`` with each exponent listed over ``vars``."""
+        used = self._used()
+        return {tuple(exp[i] for i in used): c
+                for exp, c in self.terms.items()}
 
     # ---- constructors -------------------------------------------------
 
@@ -77,13 +98,15 @@ class MPoly:
 
     @classmethod
     def const(cls, c: ScalarLike) -> "MPoly":
-        return _trusted((), {(): QI.of(c)})
+        return from_terms({_CONST: QI.of(c)})
 
     @classmethod
     def var(cls, name: str) -> "MPoly":
         if name not in _UNIVERSE_INDEX:
             raise ValueError(f"unknown variable {name!r}")
-        return _trusted((name,), {(1,): ONE})
+        exp = list(_CONST)
+        exp[_UNIVERSE_INDEX[name]] = 1
+        return from_terms({tuple(exp): ONE})
 
     # ---- predicates and views -----------------------------------------
 
@@ -97,42 +120,32 @@ class MPoly:
         return max(sum(e) for e in self.terms)
 
     def degree_in(self, name: str) -> int:
-        if name not in self.vars:
+        i = _UNIVERSE_INDEX.get(name)
+        if i is None:
             return 0
-        i = self.vars.index(name)
         return max((e[i] for e in self.terms), default=0)
 
     def coefficient(self, mono: Mapping[str, int]) -> QI:
         """Coefficient of the monomial given as {var: exponent}."""
-        exp = [0] * len(self.vars)
+        exp = list(_CONST)
         for name, e in mono.items():
             if name not in _UNIVERSE_INDEX:
                 raise ValueError(f"unknown variable {name!r}")
-            if e == 0:
-                continue
-            if name not in self.vars:
-                return QI(0)
-            exp[self.vars.index(name)] = e
+            exp[_UNIVERSE_INDEX[name]] = e
         return self.terms.get(tuple(exp), QI(0))
 
     def constant_value(self) -> QI:
-        if self.vars:
+        if any(map(any, self.terms)):
             raise ValueError("polynomial is not constant")
-        return self.terms.get((), QI(0))
+        return self.terms.get(_CONST, QI(0))
 
     def sorted_terms(self):
-        """Terms in the canonical graded order used for serialization."""
-        return sorted(self.terms.items(), key=lambda kv: _term_sort_key(kv[0]))
+        """Terms in the canonical graded order used for serialization, each
+        exponent listed over ``vars``."""
+        return sorted(self._projected().items(),
+                      key=lambda kv: _term_sort_key(kv[0]))
 
     # ---- ring operations ----------------------------------------------
-
-    def _aligned_with(self, other: "MPoly"):
-        if self.vars == other.vars:
-            return self.vars, self.terms, other.terms
-        merged = tuple(sorted(set(self.vars) | set(other.vars),
-                              key=_UNIVERSE_INDEX.__getitem__))
-        return merged, _remap(self.terms, self.vars, merged), \
-            _remap(other.terms, other.vars, merged)
 
     @staticmethod
     def _coerce(value) -> "MPoly":
@@ -146,21 +159,19 @@ class MPoly:
                 other = MPoly.const(other)
             except (TypeError, ValueError):
                 return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
+        return self.terms == other.terms
 
     def __add__(self, other) -> "MPoly":
-        other = self._coerce(other)
-        vars_, a, b = self._aligned_with(other)
-        out = dict(a)
-        for exp, c in b.items():
+        out = dict(self.terms)
+        for exp, c in self._coerce(other).terms.items():
             prev = out.get(exp)
             out[exp] = c + prev if prev is not None else c
-        return _trusted(vars_, out)
+        return from_terms(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MPoly":
-        return _trusted(self.vars, {e: -c for e, c in self.terms.items()})
+        return from_terms({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "MPoly":
         return self + (-self._coerce(other))
@@ -172,15 +183,14 @@ class MPoly:
         other = self._coerce(other)
         if not self.terms or not other.terms:
             return _ZERO
-        vars_, a, b = self._aligned_with(other)
         out: Dict[Exponent, QI] = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
+        for ea, ca in self.terms.items():
+            for eb, cb in other.terms.items():
                 exp = tuple(map(add, ea, eb))
                 c = ca * cb
                 prev = out.get(exp)
                 out[exp] = c + prev if prev is not None else c
-        return _trusted(vars_, out)
+        return from_terms(out)
 
     __rmul__ = __mul__
 
@@ -199,9 +209,9 @@ class MPoly:
     # ---- calculus and substitution ------------------------------------
 
     def diff(self, name: str) -> "MPoly":
-        if name not in self.vars:
+        i = _UNIVERSE_INDEX.get(name)
+        if i is None:
             return _ZERO
-        i = self.vars.index(name)
         out: Dict[Exponent, QI] = {}
         for exp, c in self.terms.items():
             e = exp[i]
@@ -211,34 +221,24 @@ class MPoly:
             nc = c * e
             prev = out.get(nexp)
             out[nexp] = nc + prev if prev is not None else nc
-        return _trusted(self.vars, out)
+        return from_terms(out)
 
-    def subst(self, mapping: Mapping[str, Union["MPoly", ScalarLike]]) -> "MPoly":
-        """Simultaneous substitution; unmapped variables stay themselves."""
-        relevant = {k: v for k, v in mapping.items() if k in self.vars}
-        if not relevant:
+    def subst(self, mapping: Mapping[str, ScalarLike]) -> "MPoly":
+        """Simultaneous substitution of exact scalars; unmapped variables
+        stay themselves.  A non-scalar value raises TypeError."""
+        idx = {_UNIVERSE_INDEX[k]: QI.of(v) for k, v in mapping.items()
+               if k in _UNIVERSE_INDEX}
+        if not any(exp[i] for exp in self.terms for i in idx):
             return self
-        if all(not isinstance(v, MPoly) for v in relevant.values()):
-            idx = {self.vars.index(k): QI.of(v) for k, v in relevant.items()}
-            out: Dict[Exponent, QI] = {}
-            for exp, c in self.terms.items():
-                for i, val in idx.items():
-                    if exp[i]:
-                        c = c * val ** exp[i]
-                exp = tuple(0 if i in idx else e for i, e in enumerate(exp))
-                prev = out.get(exp)
-                out[exp] = c + prev if prev is not None else c
-            return MPoly(self.vars, out)
-        values = [self._coerce(relevant.get(v, MPoly.var(v)))
-                  for v in self.vars]
-        acc = _ZERO
+        out: Dict[Exponent, QI] = {}
         for exp, c in self.terms.items():
-            term = MPoly.const(c)
-            for val, e in zip(values, exp):
-                if e:
-                    term = term * val ** e
-            acc = acc + term
-        return acc
+            for i, val in idx.items():
+                if exp[i]:
+                    c = c * val ** exp[i]
+            exp = tuple(0 if i in idx else e for i, e in enumerate(exp))
+            prev = out.get(exp)
+            out[exp] = c + prev if prev is not None else c
+        return from_terms(out)
 
     # ---- exact division by a homogeneous linear form -------------------
 
@@ -249,15 +249,14 @@ class MPoly:
         """
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
-        dterms = list(divisor.terms.items())
+        dterms = sorted(divisor.terms.items())  # by exponent; deterministic
         if len(dterms) > 2 or any(sum(e) != 1 for e, _ in dterms):
             raise ValueError("divisor must be a homogeneous linear form "
                              "with one or two terms")
         if self.is_zero():
             return _ZERO
 
-        vars_, p, d = self._aligned_with(divisor)
-        dterms = sorted(d.items())   # by exponent tuple; deterministic
+        p = self.terms
         # pivot variable X: the divisor term whose variable comes first
         (xexp, a) = min(dterms, key=lambda kv: kv[0].index(1) if 1 in kv[0]
                         else 0)
@@ -269,7 +268,7 @@ class MPoly:
                     raise ExactDivisionError("monomial divisor does not "
                                              "divide all terms")
                 out[exp[:xi] + (exp[xi] - 1,) + exp[xi + 1:]] = c / a
-            return _trusted(vars_, out)
+            return from_terms(out)
 
         (yexp, b) = next(kv for kv in dterms if kv[0] != xexp)
         yi = yexp.index(1)
@@ -312,7 +311,7 @@ class MPoly:
             for red, c in bucket.items():
                 if c:
                     out[red[:xi] + (k,) + red[xi:]] = c / a
-        return _trusted(vars_, out)
+        return from_terms(out)
 
     # ---- serialization -------------------------------------------------
 
@@ -339,17 +338,18 @@ class MPoly:
     # ---- display --------------------------------------------------------
 
     def __repr__(self) -> str:
-        return f"MPoly({self.vars!r}, {self.terms!r})"
+        return f"MPoly({self.vars!r}, {self._projected()!r})"
 
     def __str__(self) -> str:
         if not self.terms:
             return "0"
+        names = self.vars
         parts = []
         for exp, c in self.sorted_terms():
             factors = []
             if c != QI(1) or not any(exp):
                 factors.append(f"({c})")
-            for name, e in zip(self.vars, exp):
+            for name, e in zip(names, exp):
                 if e == 1:
                     factors.append(name)
                 elif e > 1:
@@ -358,39 +358,13 @@ class MPoly:
         return " + ".join(parts)
 
 
-def _remap(terms: Mapping[Exponent, QI], src: Tuple[str, ...],
-           dst: Tuple[str, ...]) -> Dict[Exponent, QI]:
-    # position -1 reads the 0 appended to every exponent
-    pos = [src.index(v) if v in src else -1 for v in dst]
-    if len(pos) == 1:
-        p = pos[0]
-        return {((exp + (0,))[p],): c for exp, c in terms.items()}
-    get = itemgetter(*pos)
-    return {get(exp + (0,)): c for exp, c in terms.items()}
-
-
-def _trim(vars_: Tuple[str, ...], terms: Dict[Exponent, QI]):
-    """Drop zero coefficients, then the variables no remaining term uses."""
-    clean = {exp: c for exp, c in terms.items() if c}
-    if not clean:
-        return (), clean
-    used = [any(col) for col in zip(*clean)]
-    if not all(used):
-        keep = [i for i, u in enumerate(used) if u]
-        vars_ = tuple(vars_[i] for i in keep)
-        clean = {tuple(exp[i] for i in keep): c for exp, c in clean.items()}
-    return vars_, clean
-
-
-def _trusted(vars_: Tuple[str, ...], terms: Dict[Exponent, QI]) -> MPoly:
-    """The result of a ring operation: ``vars_`` in universe order, exponent
-    tuples of that arity, every key once and every coefficient a QI.  Only
-    zero coefficients and unused variables are removed; nothing is
-    validated, unlike ``MPoly(vars, terms)``."""
-    vars_, terms = _trim(vars_, terms)
+def from_terms(terms: Dict[Exponent, QI]) -> MPoly:
+    """Polynomial from terms as ring operations produce them: exponent
+    tuples over ``UNIVERSE``, every key once and every coefficient a QI.
+    Only zero coefficients are dropped; nothing is validated, unlike
+    ``MPoly(vars, terms)``."""
     out = MPoly.__new__(MPoly)
-    object.__setattr__(out, "vars", vars_)
-    object.__setattr__(out, "terms", terms)
+    object.__setattr__(out, "terms", {e: c for e, c in terms.items() if c})
     return out
 
 

@@ -77,10 +77,8 @@ def expand(p: MPoly, degree: int, params: Params) -> Dict[BasisLabel, QI]:
             raise ValueError(f"not a coordinate polynomial: contains {v!r}")
     index, solver = _level_solver(degree, params)
     rhs = [QI(0)] * len(index)
-    zi = p.vars.index("z") if "z" in p.vars else -1
-    zbi = p.vars.index("zb") if "zb" in p.vars else -1
     for exp, c in p.terms.items():
-        key = (exp[zi] if zi >= 0 else 0, exp[zbi] if zbi >= 0 else 0)
+        key = exp[:2]
         if key not in index:
             raise NotInSpanError(
                 f"monomial z^{key[0]} zb^{key[1]} is outside the "

@@ -190,7 +190,3 @@ def verify_weighted_conjugation(p: MPoly,
         term = diff.times(kap).times(QI.i_power(j) * Fraction(-4))
         rhs = rhs + term.div_ell(j, 2)
     return lhs.instantiated(params) == rhs.instantiated(params)
-
-
-# published interface name, kept stable for external callers
-verify_appendixA = verify_weighted_conjugation

@@ -24,7 +24,7 @@ from b2dunkl.spectra import (E1_DIAG_VARIANT, E2_DIAG_VARIANT,
                              adjudicate_mirror_diagonals, expand,
                              h0_shifted_expansion, khat_expansion, label_str,
                              predicted_h0, predicted_k)
-from b2dunkl.weighted import verify_appendixA
+from b2dunkl.weighted import verify_weighted_conjugation
 
 
 def _report(num: int, ok: bool, detail: str = "") -> None:
@@ -236,7 +236,7 @@ def test_c09_weighted_conjugation_identity_symbolic_within_budget():
     for deg in range(7):
         for a in range(deg + 1):
             mono = MPoly(("z", "zb"), {(a, deg - a): 1})
-            if not verify_appendixA(mono):
+            if not verify_weighted_conjugation(mono):
                 ok = False
             count += 1
     elapsed = time.perf_counter() - start

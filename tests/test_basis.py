@@ -263,15 +263,7 @@ def _circle_norm_oracle(p, params):
     """Squared circle norm of p relative to 1, by exact Fourier moments."""
     freq = {}
     for exp, c in p.terms.items():
-        if p.vars == ("z", "zb"):
-            ez, ezb = exp
-        elif p.vars == ("z",):
-            ez, ezb = exp[0], 0
-        elif p.vars == ("zb",):
-            ez, ezb = 0, exp[0]
-        else:
-            ez = ezb = 0
-        f = ez - ezb
+        f = exp[0] - exp[1]     # powers of z and zb
         freq[f] = freq.get(f, QI(0)) + c
     total = QI(0)
     for f1, c1 in freq.items():

@@ -6,7 +6,7 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from b2dunkl.poly import MPoly, ExactDivisionError
+from b2dunkl.poly import UNIVERSE, MPoly, ExactDivisionError
 from b2dunkl.scalars import QI
 
 Z = MPoly.var("z")
@@ -15,10 +15,11 @@ K0 = MPoly.var("k0")
 
 
 def test_constructor_canonicalizes():
-    # zero coefficients are dropped, unused variables are stripped
+    # zero coefficients are dropped, unused variables leave vars, and
+    # exponents span the whole universe
     p = MPoly(("z", "zb"), {(2, 0): 1, (0, 1): 0})
     assert p.vars == ("z",)
-    assert p.terms == {(2,): QI(1)}
+    assert p.terms == {(2, 0, 0, 0, 0, 0, 0): QI(1)}
     assert MPoly(("z",), {}) == MPoly.zero()
     assert MPoly.const(0).is_zero()
 
@@ -70,10 +71,11 @@ def test_diff():
 def test_subst_scalars_and_polys():
     p = Z**2 + K0 * ZB
     assert p.subst({"k0": Q(3, 7)}) == Z**2 + Q(3, 7) * ZB
-    assert p.subst({"z": ZB, "zb": Z, "k0": 1}) == ZB**2 + Z
-    # composition against direct expansion
-    u = MPoly.var("u")
-    assert (Z**2).subst({"z": u + 1}) == u**2 + 2 * u + 1
+    # only exact scalars substitute
+    with pytest.raises(TypeError):
+        p.subst({"z": ZB, "zb": Z, "k0": 1})
+    with pytest.raises(TypeError):
+        (Z**2).subst({"z": MPoly.var("u") + 1})
 
 
 def test_constant_value():
@@ -126,6 +128,20 @@ def test_json_round_trip_is_byte_stable():
     assert obj["terms"][0]["exp"] == [2, 1]
     assert obj["terms"][0]["im"] == "-2/7"
     assert obj["terms"][1]["re"] == "5/1"
+
+
+def test_json_lists_used_variables_in_universe_order():
+    p = MPoly(("w", "z", "u"), {(1, 2, 0): Q(1, 2), (0, 1, 3): QI(0, -1)})
+    text = json.dumps(p.to_json_dict(), sort_keys=False)
+    assert text == (
+        '{"vars": ["z", "u", "w"], "terms": ['
+        '{"exp": [1, 3, 0], "re": "0/1", "im": "-1/1"}, '
+        '{"exp": [2, 0, 1], "re": "1/2", "im": "0/1"}]}')
+    assert MPoly.from_json_dict(json.loads(text)) == p
+    assert str(p) == "(0/1+-1/1i)*z*u^3 + (1/2)*z^2*w"
+    assert repr(p) == ("MPoly(('z', 'u', 'w'), {(2, 0, 1): QI(Fraction(1, 2), "
+                       "Fraction(0, 1)), (1, 3, 0): QI(Fraction(0, 1), "
+                       "Fraction(-1, 1))})")
 
 
 coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=6)
@@ -195,7 +211,8 @@ def mixed_polys(draw):
 
 
 def assert_canonical(r):
-    rebuilt = MPoly(r.vars, dict(r.terms))
+    assert all(len(exp) == len(UNIVERSE) for exp in r.terms)
+    rebuilt = MPoly(UNIVERSE, dict(r.terms))
     assert r.vars == rebuilt.vars and r.terms == rebuilt.terms
     assert all(type(c) is QI and c for c in r.terms.values())
 

@@ -139,8 +139,3 @@ def test_conjugation_identity_numeric_params():
 def test_conjugation_identity_linearity_probe():
     p = 3 * Z * Z * ZB - Q(5, 7) * ZB + 2
     assert verify_weighted_conjugation(p)
-
-
-def test_published_alias_is_the_same_callable():
-    from b2dunkl import weighted
-    assert weighted.verify_appendixA is verify_weighted_conjugation
