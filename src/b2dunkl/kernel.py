@@ -11,6 +11,13 @@ identity between operator trees holds on all polynomials iff it annihilates
 the seed family {identity: 1} with the couplings and the frequency kept as
 variables.  The residual family of a failed identity is returned as a
 witness.
+
+A first-order step differentiates each amplitude and moves its reflection
+quotients to the reflected copies.  The quotients are linear and leave u,
+ub, k0, k1 and w alone, so they are assembled term by term from
+`operators.monomial_quotients`, the per-monomial memo that the Dunkl
+operator on polynomials reads as well; each exact division runs once per
+(direction, z/zb monomial, parameters).
 """
 
 from __future__ import annotations
@@ -23,9 +30,10 @@ from typing import Dict, Iterable, Mapping, Optional, Tuple
 from .group import (GroupElem, act, elem_name, inv, mul, parse_elem,
                     reflection, rotation, transform_pair, IDENTITY)
 from .operators import (Commutator, Compose, Expr, GroupOp, Mul, Sum,
-                        evaluate, named, reflection_quotients)
+                        add_scaled, evaluate, monomial_quotients, named)
 from .params import Params
-from .poly import MPoly
+from .poly import Exponent, MPoly, from_terms
+from .scalars import QI
 
 _HALF = Fraction(1, 2)
 _U = MPoly.var("u")
@@ -122,8 +130,12 @@ def _first_order(var: str, state: KernelState,
         uw, ubw = _dual_pair(w)
         factor = uw if var == "zb" else ubw
         bump(w, p.diff(var) + _HALF * (factor * p))
-        for j, quot in reflection_quotients(var, p, params):
-            bump(mul(reflection(j), w), quot)
+        quots: Dict[int, Dict[Exponent, QI]] = {}
+        for exp, c in p.terms.items():
+            for j, terms in monomial_quotients(var, exp[0], exp[1], params):
+                add_scaled(quots.setdefault(j, {}), c, exp[2:], terms)
+        for j, acc in quots.items():
+            bump(mul(reflection(j), w), from_terms(acc))
     return KernelState(out)
 
 

@@ -79,19 +79,43 @@ def reflection_quotients(var: str, p: MPoly, params: Params):
         yield j, (-QI.i_power(j) * quot if var == "zb" else quot)
 
 
-def _direct_dunkl(var: str, p: MPoly, params: Params) -> MPoly:
-    return sum((q for _, q in reflection_quotients(var, p, params)),
-               p.diff(var))
+Terms = Tuple[Tuple[Exponent, QI], ...]
+
+
+def _monomial(a: int, b: int) -> MPoly:
+    return MPoly(("z", "zb"), {(a, b): 1})
 
 
 @lru_cache(maxsize=None)
-def _monomial_image(var: str, a: int, b: int,
-                    params: Params) -> Tuple[Tuple[Exponent, QI], ...]:
-    """Terms (exponent, c) of the Dunkl image of z^a zb^b, computed once by
-    the direct difference quotient; symbolic couplings appear in them as
-    k0, k1."""
-    image = _direct_dunkl(var, MPoly(("z", "zb"), {(a, b): 1}), params)
+def monomial_quotients(var: str, a: int, b: int,
+                       params: Params) -> Tuple[Tuple[int, Terms], ...]:
+    """The reflection quotients (j, terms) of z^a zb^b, as
+    `reflection_quotients` yields them; every exact division runs once per
+    key.  Symbolic couplings appear in the terms as k0, k1."""
+    quotients = reflection_quotients(var, _monomial(a, b), params)
+    return tuple((j, tuple(q.terms.items())) for j, q in quotients)
+
+
+@lru_cache(maxsize=None)
+def _monomial_image(var: str, a: int, b: int, params: Params) -> Terms:
+    """Terms of the Dunkl image of z^a zb^b: the derivative plus the
+    memoised reflection quotients."""
+    image = sum((from_terms(dict(terms))
+                 for _, terms in monomial_quotients(var, a, b, params)),
+                _monomial(a, b).diff(var))
     return tuple(image.terms.items())
+
+
+def add_scaled(out: Dict[Exponent, QI], c: QI, rest: Exponent,
+               terms: Terms) -> None:
+    """out += c s terms, where s is the spectator monomial with exponents
+    `rest` over the variables after z, zb."""
+    spectators = any(rest)
+    for exp, tc in terms:
+        key = exp[:2] + tuple(map(add, exp[2:], rest)) if spectators else exp
+        term = c * tc
+        prev = out.get(key)
+        out[key] = term + prev if prev is not None else term
 
 
 def apply_dunkl(var: str, p: MPoly, params: Params) -> MPoly:
@@ -103,14 +127,8 @@ def apply_dunkl(var: str, p: MPoly, params: Params) -> MPoly:
     """
     out: Dict[Exponent, QI] = {}
     for exp, c in p.terms.items():
-        rest = exp[2:]
-        spectators = any(rest)
-        for iexp, ic in _monomial_image(var, exp[0], exp[1], params):
-            key = (iexp[:2] + tuple(map(add, iexp[2:], rest)) if spectators
-                   else iexp)
-            term = c * ic
-            prev = out.get(key)
-            out[key] = term + prev if prev is not None else term
+        add_scaled(out, c, exp[2:],
+                   _monomial_image(var, exp[0], exp[1], params))
     return from_terms(out)
 
 
@@ -160,11 +178,6 @@ def _const(c) -> Mul:
 
 def _scaled(c, *parts: Expr) -> Expr:
     return Compose((_const(c),) + parts)
-
-
-def _anti(a: Expr, b: Expr) -> Expr:
-    """Anticommutator {a, b}."""
-    return Sum((Compose((a, b)), Compose((b, a))))
 
 
 def _lower(j: int) -> Expr:

@@ -31,11 +31,16 @@ class Params:
             if not all(v is None for v in vals):
                 raise ValueError("parameters must be all numeric or all "
                                  "symbolic")
-            return
-        if self.k0 < 0 or self.k1 < 0:
-            raise ValueError("couplings must be nonnegative")
-        if self.w <= 0:
-            raise ValueError("frequency must be positive")
+        else:
+            if self.k0 < 0 or self.k1 < 0:
+                raise ValueError("couplings must be nonnegative")
+            if self.w <= 0:
+                raise ValueError("frequency must be positive")
+        # every memo lookup hashes its Params key; hash the Fractions once
+        object.__setattr__(self, "_hash", hash(vals))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def numeric(cls, k0, k1, w) -> "Params":

@@ -59,6 +59,9 @@ class MPoly:
 
         merged: Dict[Exponent, QI] = {}
         for exp, c in (terms or {}).items():
+            if not all(isinstance(e, int) and e >= 0 for e in exp):
+                raise ValueError(f"exponents must be nonnegative integers, "
+                                 f"not {list(exp)}")
             c = QI.of(c)
             if not c:
                 continue
@@ -331,7 +334,7 @@ class MPoly:
         names = tuple(obj["vars"])
         terms = {}
         for t in obj["terms"]:
-            exp = tuple(int(e) for e in t["exp"])
+            exp = tuple(t["exp"])
             terms[exp] = QI(parse_rat(t["re"]), parse_rat(t["im"]))
         return cls(names, terms)
 

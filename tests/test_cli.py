@@ -165,22 +165,25 @@ def test_verify_k_suite_passes_below_degree_two(capsys):
 def test_memoised_dunkl_report_matches_direct_quotient(capsys, monkeypatch):
     # the same process, once through the monomial memo and once through the
     # direct difference quotient, each from cold caches
+    def direct_dunkl(var, p, params):
+        quotients = operators.reflection_quotients(var, p, params)
+        return sum((q for _, q in quotients), p.diff(var))
+
     argv = ["verify", "--suite", "k", "--max-degree", "4"]
-    caches = (operators._monomial_image, spectra._level_solver,
-              spectra.h0_shifted_expansion, spectra.khat_expansion,
-              spectra.j2_expansion)
+    memos = (operators._monomial_image, operators.monomial_quotients)
+    caches = memos + (spectra._level_solver, spectra.h0_shifted_expansion,
+                      spectra.khat_expansion, spectra.j2_expansion)
     outputs, memo_sizes = [], []
     for direct in (False, True):
         if direct:
-            monkeypatch.setattr(operators, "apply_dunkl",
-                                operators._direct_dunkl)
+            monkeypatch.setattr(operators, "apply_dunkl", direct_dunkl)
         for cache in caches:
             cache.cache_clear()
         code, out, _ = run(capsys, argv)
         assert code == 0
         outputs.append(out)
-        memo_sizes.append(operators._monomial_image.cache_info().currsize)
-    assert memo_sizes[0] > 0 and memo_sizes[1] == 0
+        memo_sizes.append([m.cache_info().currsize for m in memos])
+    assert all(memo_sizes[0]) and not any(memo_sizes[1])
     assert outputs[0] == outputs[1]
 
 
@@ -271,6 +274,16 @@ def test_apply_poly_input(capsys):
     # J z = (1 + gamma) z with gamma = 2 k0 + 2 k1 = 136/77
     assert blob["result"]["terms"] == [
         {"exp": [1], "re": "213/77", "im": "0/1"}]
+
+
+def test_apply_negative_exponent_exits_two(capsys):
+    poly = ('{"vars": ["z"], "terms": '
+            '[{"exp": [-1], "re": "1/1", "im": "0/1"}]}')
+    code, out, err = run(capsys, ["apply", "--op", "T", "--poly", poly])
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("b2dunkl: error: ")
 
 
 def test_apply_requires_exactly_one_input(capsys):

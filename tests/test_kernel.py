@@ -11,15 +11,17 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from b2dunkl.group import ALL_ELEMENTS, IDENTITY, mul, reflection, rotation
+from b2dunkl.group import (ALL_ELEMENTS, IDENTITY, inv, mul, reflection,
+                           rotation, transform_pair)
 from b2dunkl.kernel import (
     IDENTITIES, IDENTITY_NAMES, KernelState, ProofResult, get_identity,
     k_apply, k_initial, prove, prove_named,
 )
-from b2dunkl.operators import (Commutator, Compose, GroupOp, Mul, apply,
-                                monomial_span, named)
+from b2dunkl.operators import (Commutator, Compose, Dunkl, GroupOp, Mul,
+                                apply, monomial_span, named,
+                                reflection_quotients)
 from b2dunkl.params import Params
-from b2dunkl.poly import MPoly
+from b2dunkl.poly import UNIVERSE, MPoly
 from b2dunkl.scalars import QI
 
 Z = MPoly.var("z")
@@ -163,6 +165,55 @@ def test_direct_application_agrees_with_catalogue_verdicts(p, pr):
             assert any(not (apply(ident.lhs, m, pr)
                             - apply(ident.rhs, m, pr)).is_zero()
                        for m in monomial_span(2)), name
+
+
+def direct_first_order(var, state, params):
+    """The first-order step on whole amplitudes: diff + 1/2 factor p at w,
+    and each reflection quotient of p at the reflected copy."""
+    out = KernelState()
+    for w, p in state.parts.items():
+        uw, ubw = transform_pair(inv(w), (U, UB))
+        factor = uw if var == "zb" else ubw
+        out = out + KernelState({w: p.diff(var) + Q(1, 2) * (factor * p)})
+        for j, quot in reflection_quotients(var, p, params):
+            out = out + KernelState({mul(reflection(j), w): quot})
+    return out
+
+
+@st.composite
+def amplitudes(draw):
+    """Degree <= 5 in z, zb with Gaussian-rational coefficients, each term
+    times a monomial in the spectators u, ub, k0, k1, w."""
+    terms = {}
+    for _ in range(draw(st.integers(1, 5))):
+        a = draw(st.integers(0, 5))
+        b = draw(st.integers(0, 5 - a))
+        rest = tuple(draw(st.integers(0, 2)) for _ in UNIVERSE[2:])
+        terms[(a, b) + rest] = QI(draw(st.fractions(-9, 9, max_denominator=6)),
+                                  draw(st.fractions(-9, 9, max_denominator=6)))
+    return MPoly(UNIVERSE, terms)
+
+
+@given(st.dictionaries(st.sampled_from(ALL_ELEMENTS), amplitudes(),
+                       min_size=1, max_size=8),
+       st.one_of(numeric_triples(), st.just(Params.symbolic())))
+@settings(max_examples=40, deadline=None)
+def test_memoised_first_order_matches_whole_amplitude_quotients(parts, pr):
+    state = KernelState(parts)
+    for var in ("z", "zb"):
+        assert k_apply(Dunkl(var), state, pr) == \
+            direct_first_order(var, state, pr)
+
+
+def test_repeated_proof_divides_nothing(monkeypatch):
+    # exact divisions run only when a per-monomial memo entry is filled
+    prove_named("laplacian-coordinate")
+
+    def no_division(self, divisor):
+        raise AssertionError("division outside a memo fill")
+
+    monkeypatch.setattr(MPoly, "divide_linear", no_division)
+    assert prove_named("laplacian-coordinate").proven
 
 
 def test_square_sum_identity_is_fast():

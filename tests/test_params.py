@@ -2,6 +2,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from b2dunkl.operators import monomial_quotients
 from b2dunkl.params import DEFAULT_PARAMS, EXTRA_PARAM_SETS, Params
 from b2dunkl.poly import MPoly
 
@@ -55,3 +56,16 @@ def test_genericity():
 
 def test_default_params_hashable_for_caching():
     assert hash(DEFAULT_PARAMS) == hash(Params.numeric("3/7", "5/11", "2/3"))
+
+
+def test_equal_params_share_one_memo_entry():
+    fresh = Params.numeric("3/7", "5/11", "2/3")
+    assert fresh is not DEFAULT_PARAMS and fresh == DEFAULT_PARAMS
+    assert hash(fresh) == hash(DEFAULT_PARAMS)
+    assert hash(Params.symbolic()) == hash(Params(None, None, None))
+    cached = monomial_quotients("zb", 4, 3, DEFAULT_PARAMS)
+    before = monomial_quotients.cache_info()
+    assert monomial_quotients("zb", 4, 3, fresh) is cached
+    after = monomial_quotients.cache_info()
+    assert after.currsize == before.currsize
+    assert after.hits == before.hits + 1

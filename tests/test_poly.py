@@ -35,6 +35,18 @@ def test_unknown_variable_rejected():
         MPoly.var("x")
 
 
+def test_negative_or_non_integer_exponents_rejected():
+    for exp in ((-1,), (Q(1, 2),), (1.0,), ("2",)):
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            MPoly(("z",), {exp: 1})
+        # malformed even where the coefficient is zero
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            MPoly(("z",), {exp: 0})
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        MPoly.from_json_dict({"vars": ["z", "zb"], "terms": [
+            {"exp": [2, -1], "re": "1/1", "im": "0/1"}]})
+
+
 def test_frozen_products():
     assert (Z + ZB) * (Z - ZB) == Z**2 - ZB**2
     assert (Z + ZB) ** 2 == Z**2 + 2 * Z * ZB + ZB**2
