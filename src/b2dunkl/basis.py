@@ -217,15 +217,6 @@ def group_action(g: GroupElem, label: BasisLabel) -> Tuple[BasisLabel, QI]:
     return img, sign * phase
 
 
-def j_eigenvalue(label: BasisLabel, params: Params) -> Optional[Fraction]:
-    """Angular momentum eigenvalue; only odd labels are eigenfunctions."""
-    d = label.a - label.b
-    if d % 2 == 0:
-        return None
-    gamma = params.gamma()
-    return abs(d) + gamma if d > 0 else -(abs(d) + gamma)
-
-
 def j2_eigenvalue(label: BasisLabel, params: Params) -> Fraction:
     family, n, _ = label.classify()
     k0, k1 = params.k0, params.k1
@@ -235,17 +226,6 @@ def j2_eigenvalue(label: BasisLabel, params: Params) -> Fraction:
         return 4 * (2 * n + 2 * k0 + 1) * (2 * n + 2 * k1 + 1)
     d = abs(label.a - label.b)
     return (d + params.gamma()) ** 2
-
-
-def central_eigenvalue(label: BasisLabel, params: Params) -> Fraction:
-    """Eigenvalue of the central group-algebra element."""
-    k0, k1 = params.k0, params.k1
-    fam = label.family
-    signs = {"E0": (1, 1), "E1": (1, -1), "E2": (-1, 1), "E3": (-1, -1)}
-    if fam in signs:
-        s0, s1 = signs[fam]
-        return (1 + 2 * s0 * k0 + 2 * s1 * k1) ** 2
-    return 1 - 4 * k0 ** 2 - 4 * k1 ** 2
 
 
 # ---- squared norms (always as exact ratios) -------------------------------

@@ -6,8 +6,8 @@ with that convention the polynomial action satisfies
 ``act(g, act(h, p)) == act(mul(g, h), p)``.
 
 Also hosts the four mirror lines ``ell(j) = z - i^j zb`` whose vanishing loci
-are the reflection hyperplanes, the four linear characters of the group, and
-the central group-algebra element built from the couplings.
+are the reflection hyperplanes, and the group-algebra coefficients of the
+central element built from the couplings.
 """
 
 from __future__ import annotations
@@ -94,20 +94,6 @@ def transform_pair(g: GroupElem, pair: Tuple[MPoly, MPoly]) -> Tuple[MPoly, MPol
     return (ik * a, imk * b)
 
 
-def char_value(r: int, g: GroupElem) -> int:
-    """The four linear characters, indexed 0..3."""
-    if r not in (0, 1, 2, 3):
-        raise ValueError("character index out of range")
-    if r == 0:
-        return 1
-    if r == 3:
-        return -1 if g.refl else 1
-    sign = -1 if g.k % 2 else 1
-    if r == 2 and g.refl:
-        return -sign
-    return sign
-
-
 _ELL = tuple(MPoly.var("z") - QI.i_power(j) * MPoly.var("zb")
              for j in range(4))
 
@@ -136,10 +122,3 @@ def central_element_terms(params) -> List[Tuple[GroupElem, MPoly]]:
         (reflection(2), 2 * k0 * one),
         (reflection(3), 2 * k1 * one),
     ]
-
-
-def central_element_apply(p: MPoly, params) -> MPoly:
-    acc = MPoly.zero()
-    for g, coeff in central_element_terms(params):
-        acc = acc + coeff * act(g, p)
-    return acc

@@ -15,9 +15,8 @@ witness.
 A first-order step differentiates each amplitude and moves its reflection
 quotients to the reflected copies.  The quotients are linear and leave u,
 ub, k0, k1 and w alone, so they are assembled term by term from
-`operators.monomial_quotients`, the per-monomial memo that the Dunkl
-operator on polynomials reads as well; each exact division runs once per
-(direction, z/zb monomial, parameters).
+`operators.monomial_quotients`, the prover's per-monomial memo of them;
+each exact division runs once per (direction, z/zb monomial, parameters).
 """
 
 from __future__ import annotations
@@ -27,8 +26,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
-from .group import (GroupElem, act, elem_name, inv, mul, parse_elem,
-                    reflection, rotation, transform_pair, IDENTITY)
+from .group import (GroupElem, act, elem_name, inv, mul, reflection,
+                    rotation, transform_pair, IDENTITY)
 from .operators import (Commutator, Compose, Expr, GroupOp, Mul, Sum,
                         add_scaled, evaluate, monomial_quotients, named)
 from .params import Params
@@ -97,11 +96,6 @@ class KernelState:
         return {"entries": [{"element": elem_name(g),
                              "amplitude": p.to_json_dict()}
                             for g, p in self.items()]}
-
-    @classmethod
-    def from_json_dict(cls, obj: Mapping) -> "KernelState":
-        return cls({parse_elem(e["element"]): MPoly.from_json_dict(e["amplitude"])
-                    for e in obj["entries"]})
 
     def __repr__(self) -> str:
         body = ", ".join(f"{elem_name(g)}: {p}" for g, p in self.items())

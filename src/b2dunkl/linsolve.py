@@ -92,8 +92,3 @@ class LinearSolver:
         for r, col in enumerate(self._pivots):
             x[col] = v[r]
         return x
-
-
-def solve_exact(rows: Sequence[Sequence[ScalarLike]],
-                rhs: Sequence[ScalarLike]) -> List[QI]:
-    return LinearSolver(rows).solve(rhs)

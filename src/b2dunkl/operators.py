@@ -90,8 +90,9 @@ def _monomial(a: int, b: int) -> MPoly:
 def monomial_quotients(var: str, a: int, b: int,
                        params: Params) -> Tuple[Tuple[int, Terms], ...]:
     """The reflection quotients (j, terms) of z^a zb^b, as
-    `reflection_quotients` yields them; every exact division runs once per
-    key.  Symbolic couplings appear in the terms as k0, k1."""
+    `reflection_quotients` yields them, for the prover, which moves each to
+    its own reflected copy; every exact division runs once per key.
+    Symbolic couplings appear in the terms as k0, k1."""
     quotients = reflection_quotients(var, _monomial(a, b), params)
     return tuple((j, tuple(q.terms.items())) for j, q in quotients)
 
@@ -99,10 +100,10 @@ def monomial_quotients(var: str, a: int, b: int,
 @lru_cache(maxsize=None)
 def _monomial_image(var: str, a: int, b: int, params: Params) -> Terms:
     """Terms of the Dunkl image of z^a zb^b: the derivative plus the
-    memoised reflection quotients."""
-    image = sum((from_terms(dict(terms))
-                 for _, terms in monomial_quotients(var, a, b, params)),
-                _monomial(a, b).diff(var))
+    summed reflection quotients; every exact division runs once per key."""
+    mono = _monomial(a, b)
+    image = sum((q for _, q in reflection_quotients(var, mono, params)),
+                mono.diff(var))
     return tuple(image.terms.items())
 
 
@@ -278,16 +279,6 @@ def named(name: str) -> Expr:
 
 def apply_named(name: str, p: MPoly, params: Params) -> MPoly:
     return apply(named(name), p, params)
-
-
-def monomial_span(max_degree: int, vars=("z", "zb")):
-    """All monomials of total degree <= max_degree, graded order."""
-    out = []
-    for d in range(max_degree + 1):
-        for a in range(d, -1, -1):
-            exp = (a, d - a)
-            out.append(MPoly(vars, {exp: 1}))
-    return out
 
 
 # ---- serialization ------------------------------------------------------

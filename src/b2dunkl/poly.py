@@ -122,12 +122,6 @@ class MPoly:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def degree_in(self, name: str) -> int:
-        i = _UNIVERSE_INDEX.get(name)
-        if i is None:
-            return 0
-        return max((e[i] for e in self.terms), default=0)
-
     def coefficient(self, mono: Mapping[str, int]) -> QI:
         """Coefficient of the monomial given as {var: exponent}."""
         exp = list(_CONST)

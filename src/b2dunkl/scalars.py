@@ -17,8 +17,6 @@ from fractions import Fraction
 from math import gcd
 from typing import Union
 
-Q = Fraction
-
 RatLike = Union[int, Fraction]
 ScalarLike = Union[int, Fraction, "QI"]
 
@@ -92,9 +90,6 @@ class QI:
 
     def conj(self) -> "QI":
         return _qi(self._a, -self._b, self._d)
-
-    def is_real(self) -> bool:
-        return self._b == 0
 
     def __bool__(self) -> bool:
         return self._a != 0 or self._b != 0
@@ -263,4 +258,3 @@ _I_POWERS = (QI(1), QI(0, 1), QI(-1), QI(0, -1))
 
 ZERO = QI(0)
 ONE = QI(1)
-I = QI(0, 1)

@@ -12,6 +12,7 @@ import sys
 import time
 from fractions import Fraction
 
+import b2dunkl
 from b2dunkl.basis import (BasisLabel, energy, enumerate_basis, group_action,
                            norm_ratio, psi)
 from b2dunkl.group import ALL_ELEMENTS, act
@@ -248,6 +249,10 @@ def test_c09_weighted_conjugation_identity_symbolic_within_budget():
 def test_c10_full_verification_run_timed_and_byte_identical():
     base_env = {k: v for k, v in os.environ.items()
                 if not k.startswith("B2DUNKL_")}
+    # the child runs the package this process imported, however it was found
+    package_root = os.path.dirname(os.path.dirname(b2dunkl.__file__))
+    base_env["PYTHONPATH"] = os.pathsep.join(
+        [package_root] + [p for p in [os.environ.get("PYTHONPATH")] if p])
     argv = [sys.executable, "-m", "b2dunkl.cli", "verify",
             "--suite", "all", "--max-degree", "10"]
     outs = []

@@ -10,10 +10,10 @@ from fractions import Fraction as Q
 from hypothesis import given, settings, strategies as st
 
 from b2dunkl.group import (
-    ALL_ELEMENTS, IDENTITY, act, central_element_apply, central_element_terms,
-    char_value, ell, elem_name, inv, mul, parse_elem, reflection, rotation,
-    transform_pair,
+    ALL_ELEMENTS, IDENTITY, act, central_element_terms, ell, elem_name, inv,
+    mul, parse_elem, reflection, rotation, transform_pair,
 )
+from b2dunkl.operators import apply_named
 from b2dunkl.params import Params
 from b2dunkl.poly import MPoly
 from b2dunkl.scalars import QI
@@ -102,6 +102,16 @@ def test_action_is_a_homomorphism(g, h, p):
     assert act(g, act(h, p)) == act(mul(g, h), p)
 
 
+def char_value(r, g):
+    """The four linear characters, indexed 0..3."""
+    if r == 0:
+        return 1
+    if r == 3:
+        return -1 if g.refl else 1
+    sign = -1 if g.k % 2 else 1
+    return -sign if r == 2 and g.refl else sign
+
+
 def test_characters_table_and_multiplicativity():
     for k in range(4):
         assert char_value(0, reflection(k)) == 1
@@ -110,8 +120,12 @@ def test_characters_table_and_multiplicativity():
         assert char_value(3, reflection(k)) == -1
         assert char_value(1, rotation(k)) == (-1) ** k
         assert char_value(3, rotation(k)) == 1
-    for r in range(4):
+    # each character is the action on one relative invariant
+    invariants = (MPoly.const(1), Z ** 2 + ZB ** 2, Z ** 2 - ZB ** 2,
+                  Z ** 4 - ZB ** 4)
+    for r, p in enumerate(invariants):
         for a in ALL_ELEMENTS:
+            assert act(a, p) == char_value(r, a) * p, (r, a)
             for b in ALL_ELEMENTS:
                 assert (char_value(r, mul(a, b))
                         == char_value(r, a) * char_value(r, b))
@@ -145,9 +159,8 @@ def test_element_names_round_trip():
 def test_central_element_symbolic_eigenvalues():
     sym = Params.symbolic()
     gamma = 2 * K0 + 2 * K1
-    assert central_element_apply(MPoly.const(1), sym) == (1 + gamma) ** 2
-    assert central_element_apply(Z, sym) == \
-        (1 - 4 * K0 ** 2 - 4 * K1 ** 2) * Z
+    assert apply_named("R", MPoly.const(1), sym) == (1 + gamma) ** 2
+    assert apply_named("R", Z, sym) == (1 - 4 * K0 ** 2 - 4 * K1 ** 2) * Z
     terms = dict(central_element_terms(sym))
     assert terms[rotation(0)] == MPoly.const(1)
     assert terms[reflection(2)] == 2 * K0
@@ -157,5 +170,5 @@ def test_central_element_symbolic_eigenvalues():
 @settings(max_examples=40)
 def test_central_element_commutes_with_group(g, p):
     pr = Params.numeric("3/7", "5/11", "2/3")
-    assert act(g, central_element_apply(p, pr)) == \
-        central_element_apply(act(g, p), pr)
+    assert act(g, apply_named("R", p, pr)) == \
+        apply_named("R", act(g, p), pr)

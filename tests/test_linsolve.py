@@ -5,17 +5,17 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from b2dunkl.linsolve import LinearSolver, NotInSpanError, UnderdeterminedError, solve_exact
+from b2dunkl.linsolve import LinearSolver, NotInSpanError, UnderdeterminedError
 from b2dunkl.scalars import QI
 
 
 def test_frozen_2x2():
-    x = solve_exact([[1, 2], [3, 4]], [5, 6])
+    x = LinearSolver([[1, 2], [3, 4]]).solve([5, 6])
     assert x == [QI(-4), QI(Q(9, 2))]
 
 
 def test_complex_entries():
-    assert solve_exact([[QI(0, 1)]], [1]) == [QI(0, -1)]
+    assert LinearSolver([[QI(0, 1)]]).solve([1]) == [QI(0, -1)]
 
 
 def test_tall_system_consistency_check():
@@ -28,14 +28,14 @@ def test_tall_system_consistency_check():
 
 def test_inconsistent_raises():
     with pytest.raises(NotInSpanError):
-        solve_exact([[1], [1]], [1, 2])
+        LinearSolver([[1], [1]]).solve([1, 2])
 
 
 def test_underdetermined_raises():
     with pytest.raises(UnderdeterminedError):
-        solve_exact([[1, 1]], [2])
+        LinearSolver([[1, 1]]).solve([2])
     with pytest.raises(UnderdeterminedError):
-        solve_exact([[1, 2], [2, 4]], [3, 6])
+        LinearSolver([[1, 2], [2, 4]]).solve([3, 6])
 
 
 def test_solver_is_reusable():

@@ -6,10 +6,11 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from b2dunkl.group import ALL_ELEMENTS, act, central_element_apply, inv
+from b2dunkl import operators
+from b2dunkl.group import ALL_ELEMENTS, act, central_element_terms, inv
 from b2dunkl.operators import (
     Commutator, apply, apply_dunkl, apply_named, expr_from_json,
-    expr_to_json, monomial_span, named, reflection_quotients,
+    expr_to_json, named, reflection_quotients,
 )
 from b2dunkl.params import DEFAULT_PARAMS, Params
 from b2dunkl.poly import MPoly
@@ -21,6 +22,18 @@ K0 = MPoly.var("k0")
 K1 = MPoly.var("k1")
 SYM = Params.symbolic()
 GAMMA = 2 * K0 + 2 * K1
+
+
+def monomial_span(max_degree):
+    """All monomials z^a zb^b of total degree <= max_degree."""
+    return [Z ** a * ZB ** (d - a)
+            for d in range(max_degree + 1) for a in range(d, -1, -1)]
+
+
+def central_element_apply(p, params):
+    """The central group-algebra element applied term by term."""
+    return sum((coeff * act(g, p)
+                for g, coeff in central_element_terms(params)), MPoly.zero())
 
 
 def T(p, params=SYM):
@@ -91,6 +104,18 @@ def direct_dunkl(var, p, params):
 def test_memoised_dunkl_matches_direct_quotient(p, params):
     for var in ("z", "zb"):
         assert apply_dunkl(var, p, params) == direct_dunkl(var, p, params)
+
+
+def test_numeric_dunkl_leaves_prover_memo_empty():
+    # the per-monomial image fills from the direct quotients, so numeric
+    # couplings never enter the prover's memo of reflection quotients
+    for memo in (operators._monomial_image, operators.monomial_quotients):
+        memo.cache_clear()
+    p = Z ** 3 * ZB + 2 * ZB ** 2 + 1
+    assert apply_dunkl("z", p, DEFAULT_PARAMS) == \
+        direct_dunkl("z", p, DEFAULT_PARAMS)
+    assert operators._monomial_image.cache_info().currsize == 3
+    assert operators.monomial_quotients.cache_info().currsize == 0
 
 
 @given(st.sampled_from([("u",), ("w",), ("k1",)]).flatmap(polys),

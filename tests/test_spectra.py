@@ -62,7 +62,7 @@ def test_h0_table_is_traceless_with_real_entries():
         for lb in enumerate_basis(deg):
             for tgt, c in h0_shifted_expansion(lb, P):
                 assert tgt != lb
-                assert c.is_real()
+                assert c.im == 0
 
 
 def test_k_table_matches_closed_forms():
