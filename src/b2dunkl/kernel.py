@@ -17,6 +17,8 @@ quotients to the reflected copies.  The quotients are linear and leave u,
 ub, k0, k1 and w alone, so they are assembled term by term from
 `operators.monomial_quotients`, the prover's per-monomial memo of them;
 each exact division runs once per (direction, z/zb monomial, parameters).
+Trees are walked by `operators.evaluate`, so the parts of a Sum applied to
+one state share their first-order steps.
 """
 
 from __future__ import annotations
@@ -138,10 +140,12 @@ def _relabel(g: GroupElem, state: KernelState) -> KernelState:
 
 
 def k_apply(expr: Expr, state: KernelState,
-            params: Optional[Params] = None) -> KernelState:
-    """Apply an operator tree to a state; params default to fully symbolic."""
+            params: Optional[Params] = None, scope=None) -> KernelState:
+    """Apply an operator tree to a state; params default to fully symbolic.
+    `scope` is the enclosing Sum scope of `operators.evaluate` when called
+    from inside a walk."""
     return evaluate(expr, state, Params.symbolic() if params is None
-                    else params, k_apply, _first_order, _relabel)
+                    else params, k_apply, _first_order, _relabel, scope)
 
 
 # ---- identity catalogue --------------------------------------------------

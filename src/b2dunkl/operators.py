@@ -8,13 +8,14 @@ invariant) is a tree of sums, compositions, multiplication operators and
 group elements over those two generators.
 
 Operator trees are parameter-free: coupling and frequency appear inside
-multiplication coefficients as the variables k0, k1, w and get instantiated
-at application time when the supplied parameters are numeric.
+multiplication coefficients as the variables k0, k1, w.  Each `Mul` node
+instantiates its coefficient once per parameter triple and keeps it, so a
+tree applied many times at one triple substitutes each coefficient once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from operator import add
@@ -44,6 +45,17 @@ class Dunkl(Expr):
 @dataclass(frozen=True)
 class Mul(Expr):
     poly: MPoly
+    # instantiated coefficient per Params; not part of the node's identity
+    _coefficients: Dict[Params, MPoly] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
+
+    def coefficient(self, params: Params) -> MPoly:
+        """The coefficient with params substituted, computed once per
+        parameter triple."""
+        c = self._coefficients.get(params)
+        if c is None:
+            c = self._coefficients[params] = params.instantiate(self.poly)
+        return c
 
 
 @dataclass(frozen=True)
@@ -133,34 +145,64 @@ def apply_dunkl(var: str, p: MPoly, params: Params) -> MPoly:
     return from_terms(out)
 
 
-def evaluate(expr: Expr, x, params: Params, recurse, dunkl, group_act):
+def evaluate(expr: Expr, x, params: Params, recurse, dunkl, group_act,
+             scope=None):
     """Evaluate an operator tree on a carrier x.
 
     The carrier needs +, - and multiplication by a polynomial; `dunkl(var,
     x, params)` and `group_act(elem, x)` act at the leaves, and subtrees are
-    evaluated through `recurse(expr, x, params)`.
+    evaluated through `recurse(expr, x, params, scope)`.
+
+    The parts of a Sum share their Dunkl results.  A Sum whose input is not
+    the input of the enclosing scope opens a scope (x, memo), nested Sums
+    over the same x reuse it, and it is dropped when the Sum that opened it
+    returns.  Inside a scope a Dunkl leaf applied to an input y is looked up
+    under (direction, id(y)); each entry holds y, so the id stays valid.
+    The component Hamiltonians of K, all applied to one x, thus share Tx,
+    Tbx and their second Dunkl images.  The carrier's values must be
+    immutable, because a memo hands one result to several parts.
     """
     if isinstance(expr, Dunkl):
         return dunkl(expr.var, x, params)
     if isinstance(expr, Mul):
-        return x * params.instantiate(expr.poly)
+        return x * expr.coefficient(params)
     if isinstance(expr, GroupOp):
         return group_act(expr.elem, x)
     if isinstance(expr, Sum):
-        return sum((recurse(part, x, params) for part in expr.parts),
-                   x * MPoly.zero())
+        if scope is None or scope[0] is not x:
+            scope = (x, {})
+        return sum((_visit(part, x, params, recurse, scope)
+                    for part in expr.parts), x * MPoly.zero())
     if isinstance(expr, Compose):
         for part in reversed(expr.parts):
-            x = recurse(part, x, params)
+            x = _visit(part, x, params, recurse, scope)
         return x
     if isinstance(expr, Commutator):
-        return (recurse(expr.a, recurse(expr.b, x, params), params)
-                - recurse(expr.b, recurse(expr.a, x, params), params))
+        ab = _visit(expr.b, x, params, recurse, scope)
+        ab = _visit(expr.a, ab, params, recurse, scope)
+        ba = _visit(expr.a, x, params, recurse, scope)
+        ba = _visit(expr.b, ba, params, recurse, scope)
+        return ab - ba
     raise TypeError(f"not an operator expression: {expr!r}")
 
 
-def apply(expr: Expr, p: MPoly, params: Params) -> MPoly:
-    return evaluate(expr, p, params, apply, apply_dunkl, act)
+def _visit(expr: Expr, x, params: Params, recurse, scope):
+    """Evaluate a subtree; inside a scope, a Dunkl leaf first looks up its
+    memo and recurses only on a miss."""
+    if scope is None or not isinstance(expr, Dunkl):
+        return recurse(expr, x, params, scope)
+    memo = scope[1]
+    key = (expr.var, id(x))
+    hit = memo.get(key)
+    if hit is None:
+        hit = memo[key] = (x, recurse(expr, x, params, scope))
+    return hit[1]
+
+
+def apply(expr: Expr, p: MPoly, params: Params, scope=None) -> MPoly:
+    """Apply an operator tree to a polynomial; `scope` is the enclosing Sum
+    scope of `evaluate` when called from inside a walk."""
+    return evaluate(expr, p, params, apply, apply_dunkl, act, scope)
 
 
 # ---- named operators ---------------------------------------------------

@@ -36,8 +36,19 @@ class Params:
                 raise ValueError("couplings must be nonnegative")
             if self.w <= 0:
                 raise ValueError("frequency must be positive")
-        # every memo lookup hashes its Params key; hash the Fractions once
-        object.__setattr__(self, "_hash", hash(vals))
+        # every memo lookup hashes and compares its Params key; reduce the
+        # Fractions to one integer tuple once, and hash that once
+        key = None if self.k0 is None else tuple(
+            n for v in vals for n in (v.numerator, v.denominator))
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, Params):
+            return NotImplemented
+        return self._key == other._key
 
     def __hash__(self) -> int:
         return self._hash

@@ -28,7 +28,8 @@ from .scalars import QI, format_rat
 __all__ = [
     "NotInSpanError", "expand", "CoeffTable", "h0_table", "k_table",
     "j2_table", "norm_table", "predicted_h0", "predicted_k",
-    "h0_shifted_expansion", "khat_expansion", "label_str", "parse_label",
+    "h0_shifted_expansion", "khat_expansion", "khat_image", "label_str",
+    "parse_label",
     "adjudicate_mirror_diagonals", "MIRROR_DIAG_VARIANTS",
     "E1_DIAG_VARIANT", "E2_DIAG_VARIANT",
 ]
@@ -106,12 +107,17 @@ def h0_shifted_expansion(label: BasisLabel,
 
 
 @lru_cache(maxsize=None)
+def khat_image(label: BasisLabel, params: Params) -> MPoly:
+    """The quartic invariant applied to one basis function, once per key."""
+    return apply_named("Khat", psi(label, params), params)
+
+
+@lru_cache(maxsize=None)
 def khat_expansion(label: BasisLabel,
                    params: Params) -> Tuple[Tuple[BasisLabel, QI], ...]:
     """Expansion of the quartic invariant applied to one basis function."""
-    f = psi(label, params)
-    r = apply_named("Khat", f, params)
-    return tuple(expand(r, label.degree, params).items())
+    return tuple(expand(khat_image(label, params), label.degree,
+                        params).items())
 
 
 @lru_cache(maxsize=None)

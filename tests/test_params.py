@@ -69,3 +69,14 @@ def test_equal_params_share_one_memo_entry():
     after = monomial_quotients.cache_info()
     assert after.currsize == before.currsize
     assert after.hits == before.hits + 1
+
+
+def test_equality_compares_values_not_identity():
+    a = Params.numeric("1/2", "1/3", "1")
+    b = Params(Q(1, 2), Q(1, 3), Q(1))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != Params.numeric("1/3", "1/2", "1")
+    assert Params.symbolic() == Params.symbolic()
+    assert hash(Params.symbolic()) == hash(Params.symbolic())
+    assert Params.symbolic() != a and a != Params.symbolic()
+    assert a != (Q(1, 2), Q(1, 3), Q(1))
