@@ -8,14 +8,15 @@ invariant) is a tree of sums, compositions, multiplication operators and
 group elements over those two generators.
 
 Operator trees are parameter-free: coupling and frequency appear inside
-multiplication coefficients as the variables k0, k1, w.  Each `Mul` node
-instantiates its coefficient once per parameter triple and keeps it, so a
-tree applied many times at one triple substitutes each coefficient once.
+multiplication coefficients as the variables k0, k1, w.  The instantiated
+coefficient of each `Mul` node is memoised per parameter triple
+(`coefficient`), so a tree applied many times at one triple substitutes
+each coefficient once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import add
@@ -45,17 +46,14 @@ class Dunkl(Expr):
 @dataclass(frozen=True)
 class Mul(Expr):
     poly: MPoly
-    # instantiated coefficient per Params; not part of the node's identity
-    _coefficients: Dict[Params, MPoly] = field(
-        default_factory=dict, init=False, compare=False, repr=False)
 
-    def coefficient(self, params: Params) -> MPoly:
-        """The coefficient with params substituted, computed once per
-        parameter triple."""
-        c = self._coefficients.get(params)
-        if c is None:
-            c = self._coefficients[params] = params.instantiate(self.poly)
-        return c
+    def __post_init__(self):
+        # MPoly is unhashable; hash the terms once so nodes can key a memo
+        object.__setattr__(self, "_hash",
+                           hash(frozenset(self.poly.terms.items())))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @dataclass(frozen=True)
@@ -145,6 +143,13 @@ def apply_dunkl(var: str, p: MPoly, params: Params) -> MPoly:
     return from_terms(out)
 
 
+@lru_cache(maxsize=None)
+def coefficient(node: Mul, params: Params) -> MPoly:
+    """The coefficient of a `Mul` node with params substituted; equal nodes
+    share one entry, and each substitution runs once per key."""
+    return params.instantiate(node.poly)
+
+
 def evaluate(expr: Expr, x, params: Params, recurse, dunkl, group_act,
              scope=None):
     """Evaluate an operator tree on a carrier x.
@@ -165,7 +170,7 @@ def evaluate(expr: Expr, x, params: Params, recurse, dunkl, group_act,
     if isinstance(expr, Dunkl):
         return dunkl(expr.var, x, params)
     if isinstance(expr, Mul):
-        return x * expr.coefficient(params)
+        return x * coefficient(expr, params)
     if isinstance(expr, GroupOp):
         return group_act(expr.elem, x)
     if isinstance(expr, Sum):

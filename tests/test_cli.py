@@ -172,8 +172,8 @@ def test_memoised_dunkl_report_matches_direct_quotient(capsys, monkeypatch):
     argv = ["verify", "--suite", "k", "--max-degree", "4"]
     memo = operators._monomial_image
     caches = (memo, operators.monomial_quotients, spectra._level_solver,
-              spectra.h0_shifted_expansion, spectra.khat_expansion,
-              spectra.j2_expansion)
+              spectra.h0_shifted_expansion, spectra.khat_image,
+              spectra.khat_expansion, spectra.j2_expansion)
     outputs, memo_sizes = [], []
     for direct in (False, True):
         if direct:

@@ -14,7 +14,8 @@ from b2dunkl import kernel
 from b2dunkl.group import act, reflection
 from b2dunkl.kernel import KernelState, k_apply, k_initial
 from b2dunkl.operators import (OPERATOR_NAMES, Commutator, Compose, Dunkl,
-                               GroupOp, Mul, Sum, apply, apply_dunkl, named)
+                               GroupOp, Mul, Sum, apply, apply_dunkl,
+                               coefficient, named)
 from b2dunkl.params import Params
 from b2dunkl.poly import MPoly
 from b2dunkl.scalars import QI
@@ -134,6 +135,7 @@ def test_mul_coefficient_instantiated_once_per_node(monkeypatch):
         return instantiate(self, p)
 
     monkeypatch.setattr(Params, "instantiate", counted)
+    coefficient.cache_clear()
     p = MPoly.var("z") ** 2 * MPoly.var("zb")
     first = apply(khat, p, pr)
     assert 0 < len(calls) <= len(nodes)
@@ -143,9 +145,14 @@ def test_mul_coefficient_instantiated_once_per_node(monkeypatch):
     assert again == first
 
 
-def test_mul_equality_ignores_instantiated_coefficients():
+def test_equal_mul_nodes_share_one_coefficient_entry():
     coeff = MPoly.var("k0") * MPoly.var("z")
-    used, fresh = Mul(coeff), Mul(coeff)
-    used.coefficient(Params.numeric("1/2", "1/3", "1"))
-    assert used == fresh
-    assert repr(used) == repr(fresh)
+    a, b = Mul(coeff), Mul(MPoly.var("z") * MPoly.var("k0"))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != Mul(MPoly.var("k1") * MPoly.var("z"))
+    pr = Params.numeric("1/2", "1/3", "1")
+    coefficient.cache_clear()
+    assert coefficient(a, pr) == Q(1, 2) * MPoly.var("z")
+    assert coefficient(b, Params.numeric("1/2", "1/3", "1")) \
+        is coefficient(a, pr)
+    assert coefficient.cache_info().currsize == 1
