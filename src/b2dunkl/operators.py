@@ -5,7 +5,10 @@ plus difference quotients across the four mirror lines; the difference
 quotients divide exactly, so the result is again a polynomial.  Everything
 else (Hamiltonians, angular momentum, ladder operators, the fourth-order
 invariant) is a tree of sums, compositions, multiplication operators and
-group elements over those two generators.
+group elements over those two generators.  The fourth-order invariants K
+and Khat, defined in the paper as sum_j (-1)^j H_j^2 and
+sum_j (-1)^j Hhat_j^2, are built as the equal sums of two squares
+A^2 + B^2 and Ahat^2 + Bhat^2, which take far fewer Dunkl steps.
 
 Operator trees are parameter-free: coupling and frequency appear inside
 multiplication coefficients as the variables k0, k1, w.  The instantiated
@@ -163,8 +166,9 @@ def evaluate(expr: Expr, x, params: Params, recurse, dunkl, group_act,
     over the same x reuse it, and it is dropped when the Sum that opened it
     returns.  Inside a scope a Dunkl leaf applied to an input y is looked up
     under (direction, id(y)); each entry holds y, so the id stays valid.
-    The component Hamiltonians of K, all applied to one x, thus share Tx,
-    Tbx and their second Dunkl images.  The carrier's values must be
+    In Khat = Ahat^2 + Bhat^2 the parts 2T^2 and -w zb T of Ahat thus share
+    Tx, so one application of Ahat or Bhat takes three Dunkl steps and
+    Khat twelve; K = A^2 + B^2 takes eight.  The carrier's values must be
     immutable, because a memo hands one result to several parts.
     """
     if isinstance(expr, Dunkl):
@@ -274,12 +278,24 @@ def _angular() -> Expr:
     return Sum((Compose((Mul(_Z), T)), Compose((Mul(-_ZB), TB))))
 
 
-def _signature(signs, components) -> Expr:
-    parts = []
-    for sg, comp in zip(signs, components):
-        sq = Compose((comp, comp))
-        parts.append(sq if sg > 0 else _scaled(-1, sq))
-    return Sum(tuple(parts))
+def _sum_of_squares(a: Expr, b: Expr) -> Expr:
+    return Sum((Compose((a, a)), Compose((b, b))))
+
+
+def _quartic() -> Expr:
+    # H_j = i^j P + i^-j Q + R with P = T^2 - w^2 zb^2/4 and
+    # Q = Tb^2 - w^2 z^2/4, so sum_j (-1)^j H_j^2 keeps only 4P^2 + 4Q^2
+    return _sum_of_squares(
+        Sum((_scaled(2, T, T), Mul(Fraction(-1, 2) * _W * _W * _ZB * _ZB))),
+        Sum((_scaled(2, TB, TB), Mul(Fraction(-1, 2) * _W * _W * _Z * _Z))))
+
+
+def _quartic_hat() -> Expr:
+    # the same split of Hhat_j, with P = T^2 - w (zb T + T zb)/2
+    def half(d: Dunkl, x: MPoly) -> Expr:
+        return Sum((_scaled(2, d, d), Compose((Mul(-_W * x), d)),
+                    Compose((Mul(-_W), d, Mul(x)))))
+    return _sum_of_squares(half(T, _ZB), half(TB, _Z))
 
 
 def _central() -> Expr:
@@ -304,10 +320,8 @@ def _build_registry() -> Dict[str, Expr]:
         reg[f"H_{j}"] = _h_component(j)
         reg[f"Lower_{j}"] = _lower(j)
         reg[f"Raise_{j}"] = _raise(j)
-    reg["K"] = _signature((1, -1, 1, -1),
-                          [reg[f"H_{j}"] for j in range(4)])
-    reg["Khat"] = _signature((1, -1, 1, -1),
-                             [reg[f"Hhat_{j}"] for j in range(4)])
+    reg["K"] = _quartic()
+    reg["Khat"] = _quartic_hat()
     return reg
 
 

@@ -10,7 +10,7 @@ from fractions import Fraction as Q
 
 from hypothesis import assume, given, settings, strategies as st
 
-from b2dunkl import kernel
+from b2dunkl import kernel, operators
 from b2dunkl.group import act, reflection
 from b2dunkl.kernel import KernelState, k_apply, k_initial
 from b2dunkl.operators import (OPERATOR_NAMES, Commutator, Compose, Dunkl,
@@ -96,19 +96,42 @@ def test_k_apply_matches_direct_walk():
             assert k_apply(op, state) == direct_k_apply(op, state), op
 
 
-def test_quartic_shares_first_order_steps(monkeypatch):
-    # the four H_j x of K share Tx, Tbx, TTx, TTbx and TbTbx; the direct
-    # walk takes 48 first-order steps
+def _count_calls(monkeypatch, module, name):
     calls = []
-    step = kernel._first_order
+    inner = getattr(module, name)
 
-    def counted(var, state, params):
+    def counted(var, x, params):
         calls.append(var)
-        return step(var, state, params)
+        return inner(var, x, params)
 
-    monkeypatch.setattr(kernel, "_first_order", counted)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_quartic_shares_first_order_steps(monkeypatch):
+    # K = A^2 + B^2 with A = 2T^2 - 1/2 w^2 zb^2, B = 2Tb^2 - 1/2 w^2 z^2:
+    # two first-order steps per application of A or B; the paper's form
+    # sum_j (-1)^j H_j^2 takes 25 steps with sharing, 48 without
+    calls = _count_calls(monkeypatch, kernel, "_first_order")
     k_apply(named("K"), k_initial())
-    assert len(calls) <= 25
+    assert len(calls) <= 8
+
+
+def test_quartic_hat_shares_first_order_steps(monkeypatch):
+    # Ahat = 2T^2 - w zb T - w T zb shares Tx between 2T^2 and w zb T, so
+    # each application takes three steps; the paper's form takes 41
+    calls = _count_calls(monkeypatch, kernel, "_first_order")
+    k_apply(named("Khat"), k_initial())
+    assert len(calls) <= 12
+
+
+def test_quartic_hat_numeric_dunkl_applications(monkeypatch):
+    calls = _count_calls(monkeypatch, operators, "apply_dunkl")
+    p = MPoly.var("z") ** 3 * MPoly.var("zb") ** 2
+    pr = Params.numeric("13/17", "19/23", "29/31")
+    image = apply(named("Khat"), p, pr)
+    assert 0 < len(calls) <= 12     # the paper's form takes 41
+    assert image == direct_apply(named("Khat"), p, pr)
 
 
 def _mul_nodes(expr, seen):

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from b2dunkl import operators
-from b2dunkl.group import ALL_ELEMENTS, act, central_element_terms, inv
+from b2dunkl.group import (ALL_ELEMENTS, act, central_element_terms, inv,
+                           reflection)
+from b2dunkl.kernel import KernelState, k_apply, k_initial, prove
 from b2dunkl.operators import (
-    Commutator, apply, apply_dunkl, apply_named, expr_from_json,
-    expr_to_json, named, reflection_quotients,
+    Commutator, Compose, Mul, Sum, apply, apply_dunkl, apply_named,
+    expr_from_json, expr_to_json, named, reflection_quotients,
 )
 from b2dunkl.params import DEFAULT_PARAMS, Params
 from b2dunkl.poly import MPoly
@@ -251,6 +253,44 @@ def test_signature_invariant_closed_form():
         rhs = -Q(1, 2) * hh + 2 * w2 * apply_named("J2", p, pr) \
             + 2 * w2 * apply_named("R", p, pr) + 4 * half_diff
         assert apply_named("Khat", p, pr) == rhs
+
+
+def signature(components):
+    """The paper's form of the quartic invariant: sum_j (-1)^j X_j^2."""
+    parts = []
+    for j, x in enumerate(components):
+        sq = Compose((x, x))
+        parts.append(sq if j % 2 == 0 else Compose((Mul(MPoly.const(-1)), sq)))
+    return Sum(tuple(parts))
+
+
+PAPER_FORMS = {
+    "K": signature([named(f"H_{j}") for j in range(4)]),
+    "Khat": signature([named(f"Hhat_{j}") for j in range(4)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAPER_FORMS))
+def test_two_square_form_proven_equal_to_signature_form(name):
+    result = prove(PAPER_FORMS[name], named(name))
+    assert result.proven and result.residual.is_zero()
+
+
+@given(polys(), numeric_triples())
+@settings(max_examples=30, deadline=None)
+def test_two_square_form_matches_signature_form_numerically(p, params):
+    for name, paper in PAPER_FORMS.items():
+        assert apply(named(name), p, params) == apply(paper, p, params), name
+
+
+def test_two_square_form_matches_signature_form_on_prover_states():
+    seeds = [k_initial()] + [KernelState({reflection(j): MPoly.const(1)})
+                             for j in range(4)]
+    seeds.append(k_apply(named("J2"), k_initial()))
+    for state in seeds:
+        for name, paper in PAPER_FORMS.items():
+            assert k_apply(named(name), state) == k_apply(paper, state), \
+                (name, state)
 
 
 def test_commutator_node():
