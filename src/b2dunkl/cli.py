@@ -24,12 +24,13 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from functools import lru_cache
+from typing import List, Optional, Sequence, Tuple
 
 from .basis import energy, enumerate_basis, isotype, psi, rho1_eigenvalue
 from .kernel import IDENTITY_NAMES, get_identity, prove, prove_named
 from .operators import apply as op_apply
-from .operators import expr_from_json, expr_to_json, named, OPERATOR_NAMES
+from .operators import expr_from_json, named, OPERATOR_NAMES
 from .params import DEFAULT_PARAMS, Params
 from .poly import MPoly
 from .scalars import format_rat, parse_rat
@@ -125,6 +126,14 @@ def _build_parser(env) -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_apply, default_degree=0)
 
     return parser
+
+
+@lru_cache(maxsize=8)
+def _parser_for(env_items: Tuple[Tuple[str, str], ...]
+                ) -> argparse.ArgumentParser:
+    """The parser for one set of ``B2DUNKL_`` variables, built once per
+    set; parsing leaves the parser unchanged, so calls can share it."""
+    return _build_parser(dict(env_items))
 
 
 def _params_from(args) -> Params:
@@ -330,13 +339,13 @@ def _cmd_apply(args) -> int:
         op_blob = args.op
     else:
         try:
-            expr = expr_from_json(json.loads(args.op))
+            op_blob = json.loads(args.op)
+            expr = expr_from_json(op_blob)
         except (json.JSONDecodeError, KeyError, ValueError,
                 TypeError) as exc:
             raise ConfigError(
                 f"--op must be one of {', '.join(OPERATOR_NAMES)} or an "
                 f"operator JSON expression ({exc})") from None
-        op_blob = expr_to_json(expr)
     if args.label is not None:
         label = parse_label(args.label)
         params.require_generic(label.degree)
@@ -370,8 +379,9 @@ def _cmd_apply(args) -> int:
 
 def main(argv: Optional[Sequence[str]] = None,
          env: Optional[dict] = None) -> int:
-    env = dict(os.environ) if env is None else env
-    parser = _build_parser(env)
+    env = os.environ if env is None else env
+    parser = _parser_for(tuple(sorted(
+        item for item in env.items() if item[0].startswith(_ENV_PREFIX))))
     args = parser.parse_args(argv)
     try:
         return args.handler(args)

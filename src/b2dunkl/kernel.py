@@ -15,8 +15,9 @@ witness.
 A first-order step differentiates each amplitude and moves its reflection
 quotients to the reflected copies.  The quotients are linear and leave u,
 ub, k0, k1 and w alone, so they are assembled term by term from
-`operators.monomial_quotients`, the prover's per-monomial memo of them;
-each exact division runs once per (direction, z/zb monomial, parameters).
+`operators.monomial_quotients`, the prover's per-monomial memo of their
+closed forms, filled once per (direction, z/zb monomial, parameters)
+without any polynomial division.
 Trees are walked by `operators.evaluate`, so the parts of a Sum applied to
 one state share their first-order steps.
 """

@@ -1,8 +1,12 @@
 """Differential-difference operators and the named operator algebra.
 
 The two first-order operators act on polynomials in z, zb as a derivative
-plus difference quotients across the four mirror lines; the difference
-quotients divide exactly, so the result is again a polynomial.  Everything
+plus difference quotients across the four mirror lines.  On a monomial
+each quotient is a finite geometric sum, so the result is again a
+polynomial and no division runs: `_quotient_terms` writes the quotients of
+z^a zb^b down in closed form, and the Dunkl image (`_monomial_image`) and
+the prover's per-line quotients (`monomial_quotients`) are memoised per
+monomial from it (Dunkl, Trans. AMS 311 (1989)).  Everything
 else (Hamiltonians, angular momentum, ladder operators, the fourth-order
 invariant) is a tree of sums, compositions, multiplication operators and
 group elements over those two generators.  The fourth-order invariants K
@@ -26,9 +30,9 @@ from operator import add
 from typing import Dict, Tuple
 
 from .group import (GroupElem, act, central_element_terms, ell, elem_name,
-                    parse_elem, reflection)
+                    parse_elem)
 from .params import Params
-from .poly import Exponent, MPoly, from_terms
+from .poly import UNIVERSE, Exponent, MPoly, from_terms
 from .scalars import QI
 
 
@@ -81,43 +85,65 @@ class Commutator(Expr):
     b: Expr
 
 
-def reflection_quotients(var: str, p: MPoly, params: Params):
-    """Yield (j, kappa_j (p - s_j p) / ell_j) for each mirror line j on which
-    the difference is nonzero, times -i^j in the zb direction."""
-    for j in range(4):
-        diff = p - act(reflection(j), p)
-        if diff.is_zero():
-            continue
-        quot = params.kappa(j) * diff.divide_linear(ell(j))
-        yield j, (-QI.i_power(j) * quot if var == "zb" else quot)
-
-
 Terms = Tuple[Tuple[Exponent, QI], ...]
 
+_NO_SPECTATORS = (0,) * (len(UNIVERSE) - 2)     # exponents after z, zb
+# the same exponents of the symbolic couplings kappa_0 = k0, kappa_1 = k1
+_KAPPA_SPECTATORS = tuple(next(iter(Params.symbolic().kappa(j).terms))[2:]
+                          for j in (0, 1))
 
-def _monomial(a: int, b: int) -> MPoly:
-    return MPoly(("z", "zb"), {(a, b): 1})
+
+def _quotient_terms(var: str, a: int, b: int, params: Params):
+    """Yield (j, terms) for each mirror line j on which the reflection
+    quotient kappa_j (m - s_j m) / ell_j of m = z^a zb^b is nonzero, times
+    -i^j in the zb direction, in closed form.
+
+    With t = i^j and n = |a - b|, s_j m = t^(a-b) z^b zb^a, and the quotient
+    is a finite geometric sum: sum_{k<n} t^k z^(a-1-k) zb^(b+k) when a > b,
+    -sum_{k<n} t^(k-n) z^(b-1-k) zb^(a+k) when a < b, and zero when a = b.
+    Symbolic couplings appear in the terms as k0, k1.
+    """
+    if a == b:
+        return
+    n = abs(a - b)
+    hi, lo, sign, shift = (a, b, 1, 0) if a > b else (b, a, -1, -n)
+    if var == "zb":
+        sign, shift = -sign, shift + 1      # times -i^j = -t
+    for j in range(4):
+        if params.is_symbolic:
+            kappa, rest = QI(sign), _KAPPA_SPECTATORS[j % 2]
+        else:
+            kappa, rest = sign * QI.of(params.kappa(j)), _NO_SPECTATORS
+            if not kappa:
+                continue
+        # the k-th term carries t^(k + shift) = i^(j (k + shift))
+        phased = [kappa * QI.i_power(r) for r in range(4)]
+        yield j, tuple(((hi - 1 - k, lo + k) + rest,
+                        phased[j * (k + shift) % 4]) for k in range(n))
 
 
 @lru_cache(maxsize=None)
 def monomial_quotients(var: str, a: int, b: int,
                        params: Params) -> Tuple[Tuple[int, Terms], ...]:
-    """The reflection quotients (j, terms) of z^a zb^b, as
-    `reflection_quotients` yields them, for the prover, which moves each to
-    its own reflected copy; every exact division runs once per key.
-    Symbolic couplings appear in the terms as k0, k1."""
-    quotients = reflection_quotients(var, _monomial(a, b), params)
-    return tuple((j, tuple(q.terms.items())) for j, q in quotients)
+    """The reflection quotients (j, terms) of z^a zb^b, for the prover, which
+    moves each to its own reflected copy."""
+    return tuple(_quotient_terms(var, a, b, params))
 
 
 @lru_cache(maxsize=None)
 def _monomial_image(var: str, a: int, b: int, params: Params) -> Terms:
     """Terms of the Dunkl image of z^a zb^b: the derivative plus the
-    summed reflection quotients; every exact division runs once per key."""
-    mono = _monomial(a, b)
-    image = sum((q for _, q in reflection_quotients(var, mono, params)),
-                mono.diff(var))
-    return tuple(image.terms.items())
+    summed reflection quotients."""
+    out: Dict[Exponent, QI] = {}
+    e = a if var == "z" else b
+    if e:
+        exp = (a - 1, b) if var == "z" else (a, b - 1)
+        out[exp + _NO_SPECTATORS] = QI(e)
+    for _, terms in _quotient_terms(var, a, b, params):
+        for exp, c in terms:
+            prev = out.get(exp)
+            out[exp] = c + prev if prev is not None else c
+    return tuple((exp, c) for exp, c in out.items() if c)
 
 
 def add_scaled(out: Dict[Exponent, QI], c: QI, rest: Exponent,

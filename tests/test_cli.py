@@ -5,10 +5,11 @@ import json
 
 import pytest
 
-from b2dunkl import operators, spectra
+from b2dunkl import basis, cli, kernel, operators, spectra, verify
 from b2dunkl.cli import main
 from b2dunkl.operators import Commutator, Mul, expr_to_json, named
 from b2dunkl.poly import ExactDivisionError, MPoly
+from division_oracle import direct_dunkl
 
 Z = MPoly.var("z")
 ZB = MPoly.var("zb")
@@ -128,6 +129,51 @@ def test_env_overrides_and_flag_precedence(capsys):
     assert blob["entries"] != []
 
 
+def test_parser_built_once_per_environment(capsys, monkeypatch):
+    builds = []
+    build = cli._build_parser
+
+    def counting(env):
+        builds.append(env)
+        return build(env)
+
+    monkeypatch.setattr(cli, "_build_parser", counting)
+    cli._parser_for.cache_clear()
+    env = {"B2DUNKL_MAX_DEGREE": "1", "HOME": "/a"}
+    outs = [run(capsys, ["table", "j2"], env=env) for _ in range(3)]
+    assert outs == [outs[0]] * 3 and outs[0][0] == 0
+    # variables without the prefix do not key the parser
+    assert run(capsys, ["table", "j2"],
+               env={"B2DUNKL_MAX_DEGREE": "1", "HOME": "/b"}) == outs[0]
+    assert builds == [{"B2DUNKL_MAX_DEGREE": "1"}]
+    run(capsys, ["table", "j2"], env={"B2DUNKL_MAX_DEGREE": "2"})
+    assert len(builds) == 2
+
+
+def test_environment_change_between_calls_is_honoured(capsys, monkeypatch):
+    for k0 in ("5/11", "1/3", "5/11"):
+        monkeypatch.setenv("B2DUNKL_K0", k0)
+        assert main(["basis", "--degree", "0"]) == 0
+        blob = json.loads(capsys.readouterr().out)
+        assert blob["params"]["k0"] == k0
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["verify", "--help"], ["apply", "--help"], [],
+    ["table", "k", "--k0", "0.5"], ["table", "nope"], ["frobnicate"],
+    ["verify", "--max-degree", "x"], ["apply", "--label", "1,0"],
+])
+def test_help_and_flag_errors_match_a_fresh_parser(capsys, argv):
+    env = {"B2DUNKL_K0": "1/3"}
+    with pytest.raises(SystemExit) as exc:
+        cli._build_parser(env).parse_args(argv)
+    fresh = (exc.value.code, capsys.readouterr())
+    for _ in range(2):      # the call that builds the parser, then a reuse
+        with pytest.raises(SystemExit) as exc:
+            main(argv, env=env)
+        assert (exc.value.code, capsys.readouterr()) == fresh
+
+
 def test_verify_single_suite_passes(capsys):
     code, out, _ = run(capsys, ["verify", "--suite", "rho1",
                                 "--max-degree", "4"])
@@ -165,10 +211,6 @@ def test_verify_k_suite_passes_below_degree_two(capsys):
 def test_memoised_dunkl_report_matches_direct_quotient(capsys, monkeypatch):
     # the same process, once through the monomial memo and once through the
     # direct difference quotient, each from cold caches
-    def direct_dunkl(var, p, params):
-        quotients = operators.reflection_quotients(var, p, params)
-        return sum((q for _, q in quotients), p.diff(var))
-
     argv = ["verify", "--suite", "k", "--max-degree", "4"]
     memo = operators._monomial_image
     caches = (memo, operators.monomial_quotients, spectra._level_solver,
@@ -186,6 +228,31 @@ def test_memoised_dunkl_report_matches_direct_quotient(capsys, monkeypatch):
         memo_sizes.append(memo.cache_info().currsize)
     assert memo_sizes[0] and not memo_sizes[1]
     assert outputs[0] == outputs[1]
+
+
+def test_cold_memos_fill_without_division(capsys, monkeypatch):
+    # every Dunkl memo fills from the closed-form quotients: from cold
+    # caches, the same commands give the same bytes with division disabled
+    def clear_memos():
+        for mod in (basis, kernel, operators, spectra, verify):
+            for obj in vars(mod).values():
+                if hasattr(obj, "cache_clear"):
+                    obj.cache_clear()
+
+    def no_division(self, divisor):
+        raise AssertionError("a Dunkl memo fill divided")
+
+    commands = (["verify", "--suite", "k,kernel,superint",
+                 "--max-degree", "4"],
+                ["prove", "--identity", "angular-quartic"])
+    reports = []
+    for divide in (True, False):
+        if not divide:
+            monkeypatch.setattr(MPoly, "divide_linear", no_division)
+        clear_memos()
+        reports.append([run(capsys, argv) for argv in commands])
+    assert [code for code, _, _ in reports[0]] == [0, 1]
+    assert reports[1] == reports[0]
 
 
 def test_verify_report_bytes_are_stable(capsys):
@@ -265,6 +332,23 @@ def test_apply_label_with_expansion(capsys):
     assert blob["expansion"] == [
         {"label": "1,0", "coefficient": "1160/231"}]
     assert blob["result"]["terms"][0]["re"] == "1160/231"
+
+
+def test_apply_json_op_echoes_its_input(capsys):
+    # the report names the operator as given, not the registry tree that a
+    # named node stands for
+    op = {"op": "named", "name": "K"}
+    code, out, _ = run(capsys, ["apply", "--op", json.dumps(op),
+                                "--label", "2,1"])
+    assert code == 0
+    blob = json.loads(out)
+    assert blob["operator"] == op
+    code, out, _ = run(capsys, ["apply", "--op", "K", "--label", "2,1"])
+    assert code == 0
+    by_name = json.loads(out)
+    assert by_name["operator"] == "K"
+    assert blob["result"] == by_name["result"]
+    assert blob["result"]["terms"]
 
 
 def test_apply_poly_input(capsys):

@@ -18,10 +18,11 @@ from b2dunkl.kernel import (
     k_apply, k_initial, prove, prove_named,
 )
 from b2dunkl.operators import (Commutator, Compose, Dunkl, GroupOp, Mul,
-                                apply, named, reflection_quotients)
+                                apply, named)
 from b2dunkl.params import Params
 from b2dunkl.poly import UNIVERSE, MPoly
 from b2dunkl.scalars import QI
+from division_oracle import reflection_quotients
 
 Z = MPoly.var("z")
 ZB = MPoly.var("zb")
@@ -209,7 +210,7 @@ def test_memoised_first_order_matches_whole_amplitude_quotients(parts, pr):
 
 
 def test_repeated_proof_divides_nothing(monkeypatch):
-    # exact divisions run only when a per-monomial memo entry is filled
+    # a proof on warm memos divides nothing; test_cli checks cold fills
     prove_named("laplacian-coordinate")
 
     def no_division(self, divisor):

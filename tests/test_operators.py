@@ -12,11 +12,12 @@ from b2dunkl.group import (ALL_ELEMENTS, act, central_element_terms, inv,
 from b2dunkl.kernel import KernelState, k_apply, k_initial, prove
 from b2dunkl.operators import (
     Commutator, Compose, Mul, Sum, apply, apply_dunkl, apply_named,
-    expr_from_json, expr_to_json, named, reflection_quotients,
+    expr_from_json, expr_to_json, named,
 )
 from b2dunkl.params import DEFAULT_PARAMS, Params
 from b2dunkl.poly import MPoly
 from b2dunkl.scalars import QI
+from division_oracle import direct_dunkl, reflection_quotients
 
 Z = MPoly.var("z")
 ZB = MPoly.var("zb")
@@ -96,11 +97,6 @@ def polys(draw, spectators=()):
     return MPoly(("z", "zb") + spectators, terms)
 
 
-def direct_dunkl(var, p, params):
-    return sum((q for _, q in reflection_quotients(var, p, params)),
-               p.diff(var))
-
-
 @given(polys(), numeric_triples())
 @settings(max_examples=60, deadline=None)
 def test_memoised_dunkl_matches_direct_quotient(p, params):
@@ -109,8 +105,8 @@ def test_memoised_dunkl_matches_direct_quotient(p, params):
 
 
 def test_numeric_dunkl_leaves_prover_memo_empty():
-    # the per-monomial image fills from the direct quotients, so numeric
-    # couplings never enter the prover's memo of reflection quotients
+    # the per-monomial image fills from the closed-form quotients, not from
+    # the prover's memo, so numeric couplings never enter that memo
     for memo in (operators._monomial_image, operators.monomial_quotients):
         memo.cache_clear()
     p = Z ** 3 * ZB + 2 * ZB ** 2 + 1
@@ -126,6 +122,30 @@ def test_numeric_dunkl_leaves_prover_memo_empty():
 def test_spectator_polynomials_through_memo_equal_direct_quotient(p, params):
     for var in ("z", "zb"):
         assert apply_dunkl(var, p, params) == direct_dunkl(var, p, params)
+
+
+@pytest.mark.parametrize("params", [
+    DEFAULT_PARAMS,
+    Params.numeric("9973/10007", "7919/8081", "4999/5003"),
+    Params.numeric("0", "1/2", "1"),     # the k0 lines divide to zero
+    SYM,
+], ids=["default", "high-height", "k0-zero", "symbolic"])
+def test_closed_form_quotients_equal_division_oracle(params):
+    # both memos, filled cold from the geometric sums, against reflecting,
+    # subtracting and dividing; the oracle's zero quotients carry no terms
+    for memo in (operators._monomial_image, operators.monomial_quotients):
+        memo.cache_clear()
+    for var in ("z", "zb"):
+        for a in range(13):
+            for b in range(13):
+                mono = Z ** a * ZB ** b
+                want = {j: q.terms for j, q in
+                        reflection_quotients(var, mono, params) if q.terms}
+                got = {j: dict(terms) for j, terms in
+                       operators.monomial_quotients(var, a, b, params)}
+                assert got == want, (var, a, b)
+                image = operators._monomial_image(var, a, b, params)
+                assert dict(image) == direct_dunkl(var, mono, params).terms
 
 
 def test_first_order_lowers_degree():
