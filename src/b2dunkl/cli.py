@@ -24,8 +24,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from .basis import energy, enumerate_basis, isotype, psi, rho1_eigenvalue
 from .kernel import IDENTITY_NAMES, get_identity, prove, prove_named
@@ -126,14 +125,6 @@ def _build_parser(env) -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_apply, default_degree=0)
 
     return parser
-
-
-@lru_cache(maxsize=8)
-def _parser_for(env_items: Tuple[Tuple[str, str], ...]
-                ) -> argparse.ArgumentParser:
-    """The parser for one set of ``B2DUNKL_`` variables, built once per
-    set; parsing leaves the parser unchanged, so calls can share it."""
-    return _build_parser(dict(env_items))
 
 
 def _params_from(args) -> Params:
@@ -380,8 +371,7 @@ def _cmd_apply(args) -> int:
 def main(argv: Optional[Sequence[str]] = None,
          env: Optional[dict] = None) -> int:
     env = os.environ if env is None else env
-    parser = _parser_for(tuple(sorted(
-        item for item in env.items() if item[0].startswith(_ENV_PREFIX))))
+    parser = _build_parser(env)
     args = parser.parse_args(argv)
     try:
         return args.handler(args)

@@ -29,8 +29,7 @@ from functools import lru_cache
 from operator import add
 from typing import Dict, Tuple
 
-from .group import (GroupElem, act, central_element_terms, ell, elem_name,
-                    parse_elem)
+from .group import GroupElem, act, central_element_terms, ell, parse_elem
 from .params import Params
 from .poly import UNIVERSE, Exponent, MPoly, from_terms
 from .scalars import QI
@@ -369,24 +368,6 @@ def apply_named(name: str, p: MPoly, params: Params) -> MPoly:
 
 
 # ---- serialization ------------------------------------------------------
-
-def expr_to_json(expr: Expr) -> dict:
-    if isinstance(expr, Dunkl):
-        return {"op": "dunkl", "var": expr.var}
-    if isinstance(expr, Mul):
-        return {"op": "mul", "poly": expr.poly.to_json_dict()}
-    if isinstance(expr, GroupOp):
-        return {"op": "group", "element": elem_name(expr.elem)}
-    if isinstance(expr, Sum):
-        return {"op": "sum", "parts": [expr_to_json(e) for e in expr.parts]}
-    if isinstance(expr, Compose):
-        return {"op": "compose",
-                "parts": [expr_to_json(e) for e in expr.parts]}
-    if isinstance(expr, Commutator):
-        return {"op": "commutator", "a": expr_to_json(expr.a),
-                "b": expr_to_json(expr.b)}
-    raise TypeError(f"not an operator expression: {expr!r}")
-
 
 def expr_from_json(obj: dict) -> Expr:
     kind = obj["op"]

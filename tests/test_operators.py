@@ -7,12 +7,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from b2dunkl import operators
-from b2dunkl.group import (ALL_ELEMENTS, act, central_element_terms, inv,
-                           reflection)
+from b2dunkl.group import (ALL_ELEMENTS, act, central_element_terms,
+                           elem_name, inv, reflection)
 from b2dunkl.kernel import KernelState, k_apply, k_initial, prove
 from b2dunkl.operators import (
-    Commutator, Compose, Mul, Sum, apply, apply_dunkl, apply_named,
-    expr_from_json, expr_to_json, named,
+    Commutator, Compose, Dunkl, GroupOp, Mul, Sum, apply, apply_dunkl,
+    apply_named, expr_from_json, named,
 )
 from b2dunkl.params import DEFAULT_PARAMS, Params
 from b2dunkl.poly import MPoly
@@ -314,6 +314,22 @@ def test_commutator_node():
     c = Commutator(named("T"), named("Tb"))
     for p in monomial_span(3):
         assert apply(c, p, DEFAULT_PARAMS).is_zero()
+
+
+def expr_to_json(expr):
+    """The JSON form of an operator tree, which `expr_from_json` reads."""
+    if isinstance(expr, Dunkl):
+        return {"op": "dunkl", "var": expr.var}
+    if isinstance(expr, Mul):
+        return {"op": "mul", "poly": expr.poly.to_json_dict()}
+    if isinstance(expr, GroupOp):
+        return {"op": "group", "element": elem_name(expr.elem)}
+    if isinstance(expr, Commutator):
+        return {"op": "commutator", "a": expr_to_json(expr.a),
+                "b": expr_to_json(expr.b)}
+    assert isinstance(expr, (Sum, Compose)), expr
+    kind = "sum" if isinstance(expr, Sum) else "compose"
+    return {"op": kind, "parts": [expr_to_json(e) for e in expr.parts]}
 
 
 def test_expr_json_round_trip():
