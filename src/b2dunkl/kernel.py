@@ -12,14 +12,21 @@ the seed family {identity: 1} with the couplings and the frequency kept as
 variables.  The residual family of a failed identity is returned as a
 witness.
 
-A first-order step differentiates each amplitude and moves its reflection
-quotients to the reflected copies.  The quotients are linear and leave u,
-ub, k0, k1 and w alone, so they are assembled term by term from
-`operators.monomial_quotients`, the prover's per-monomial memo of their
-closed forms, filled once per (direction, z/zb monomial, parameters)
-without any polynomial division.
-Trees are walked by `operators.evaluate`, so the parts of a Sum applied to
-one state share their first-order steps.
+A first-order step differentiates each amplitude, adds half the moved dual
+coordinate times it, and moves its reflection quotients to the reflected
+copies.  It is one pass over each amplitude's terms, accumulating into one
+term dict per target copy: the dual factor is one monomial, so it is an
+exponent shift times a phase cached per (direction, copy), and the
+quotients, which are linear and leave u, ub, k0, k1 and w alone, come term
+by term from `operators.monomial_quotients`, the per-monomial memo of
+their closed forms.  No intermediate polynomial is built.
+
+Registry operators (the `named` trees, T and Tb among them) are applied
+through `registry_image`, one image per (operator, input state, params)
+for the life of the process, so the seed's images under K, Hcal, H_j, J2
+and their Dunkl chains are computed once across the whole catalogue.
+Other trees are walked by `operators.evaluate`, where the parts of a Sum
+applied to one state share their first-order steps.
 """
 
 from __future__ import annotations
@@ -31,8 +38,9 @@ from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from .group import (GroupElem, act, elem_name, inv, mul, reflection,
                     rotation, transform_pair, IDENTITY)
-from .operators import (Commutator, Compose, Expr, GroupOp, Mul, Sum,
-                        add_scaled, evaluate, monomial_quotients, named)
+from .operators import (OPERATOR_NAMES, Commutator, Compose, Expr, GroupOp,
+                        Mul, Sum, add_scaled, evaluate, monomial_quotients,
+                        named)
 from .params import Params
 from .poly import Exponent, MPoly, from_terms
 from .scalars import QI
@@ -105,48 +113,101 @@ class KernelState:
         return "{" + body + "}"
 
 
+_SEED = KernelState({IDENTITY: MPoly.const(1)})
+
+
 def k_initial() -> KernelState:
-    return KernelState({IDENTITY: MPoly.const(1)})
+    """The seed state {identity: 1}; one shared object, so the image memo
+    recognises it across proofs."""
+    return _SEED
 
 
 @lru_cache(maxsize=None)
-def _dual_pair(w: GroupElem) -> Tuple[MPoly, MPoly]:
-    # dual coordinates of the moved dual point attached to the w-copy
-    return transform_pair(inv(w), (_U, _UB))
+def _half_dual(var: str, w: GroupElem) -> Tuple[int, QI]:
+    """The half dual-coordinate factor of the w-copy in the var direction,
+    which is one monomial: the universe index of its variable (u or ub)
+    and half its phase."""
+    uw, ubw = transform_pair(inv(w), (_U, _UB))
+    (exp, c), = (uw if var == "zb" else ubw).terms.items()
+    return exp.index(1), c * _HALF
+
+
+@lru_cache(maxsize=None)
+def _reflected(w: GroupElem) -> Tuple[GroupElem, ...]:
+    """The copies s_j w that the reflection quotients of the w-copy move to,
+    indexed by mirror line j."""
+    return tuple(mul(reflection(j), w) for j in range(4))
 
 
 def _first_order(var: str, state: KernelState,
                  params: Params) -> KernelState:
-    out: Dict[GroupElem, MPoly] = {}
-
-    def bump(g: GroupElem, q: MPoly):
-        prev = out.get(g)
-        out[g] = q + prev if prev is not None else q
-
+    d = 0 if var == "z" else 1
+    out: Dict[GroupElem, Dict[Exponent, QI]] = {}
     for w, p in state.parts.items():
-        uw, ubw = _dual_pair(w)
-        factor = uw if var == "zb" else ubw
-        bump(w, p.diff(var) + _HALF * (factor * p))
-        quots: Dict[int, Dict[Exponent, QI]] = {}
+        here = out.setdefault(w, {})
+        moved = [out.setdefault(g, {}) for g in _reflected(w)]
+        slot, half = _half_dual(var, w)
         for exp, c in p.terms.items():
+            e = exp[d]
+            if e:
+                key = exp[:d] + (e - 1,) + exp[d + 1:]
+                term = c * e
+                prev = here.get(key)
+                here[key] = term + prev if prev is not None else term
+            key = exp[:slot] + (exp[slot] + 1,) + exp[slot + 1:]
+            term = half * c
+            prev = here.get(key)
+            here[key] = term + prev if prev is not None else term
             for j, terms in monomial_quotients(var, exp[0], exp[1], params):
-                add_scaled(quots.setdefault(j, {}), c, exp[2:], terms)
-        for j, acc in quots.items():
-            bump(mul(reflection(j), w), from_terms(acc))
-    return KernelState(out)
+                add_scaled(moved[j], c, exp[2:], terms)
+    return KernelState({g: from_terms(acc) for g, acc in out.items()})
 
 
 def _relabel(g: GroupElem, state: KernelState) -> KernelState:
     return KernelState({mul(g, w): act(g, p) for w, p in state.parts.items()})
 
 
+class _Held:
+    """A memo key part that hashes and compares by identity.  The memo
+    keeps the key, so the object stays alive and its id stays valid."""
+
+    __slots__ = ("obj",)
+
+    def __init__(self, obj):
+        self.obj = obj
+
+    def __hash__(self) -> int:
+        return id(self.obj)
+
+    def __eq__(self, other) -> bool:
+        return self.obj is other.obj
+
+
+_REGISTRY_NAMES = {id(named(name)): name for name in OPERATOR_NAMES}
+_SYMBOLIC = Params.symbolic()
+
+
+@lru_cache(maxsize=None)
+def registry_image(name: str, state: _Held, params: Params) -> KernelState:
+    """The image of a state under the registry operator `name`, once per
+    (operator, state object, params)."""
+    return evaluate(named(name), state.obj, params, k_apply, _first_order,
+                    _relabel)
+
+
 def k_apply(expr: Expr, state: KernelState,
             params: Optional[Params] = None, scope=None) -> KernelState:
     """Apply an operator tree to a state; params default to fully symbolic.
-    `scope` is the enclosing Sum scope of `operators.evaluate` when called
-    from inside a walk."""
-    return evaluate(expr, state, Params.symbolic() if params is None
-                    else params, k_apply, _first_order, _relabel, scope)
+    A registry tree (`named`, the generators T and Tb among them) is looked
+    up in `registry_image`; any other tree is walked by `evaluate`, with
+    `scope` the enclosing Sum scope when called from inside a walk."""
+    if params is None:
+        params = _SYMBOLIC
+    name = _REGISTRY_NAMES.get(id(expr))
+    if name is not None:
+        return registry_image(name, _Held(state), params)
+    return evaluate(expr, state, params, k_apply, _first_order, _relabel,
+                    scope)
 
 
 # ---- identity catalogue --------------------------------------------------

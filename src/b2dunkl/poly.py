@@ -180,6 +180,13 @@ class MPoly:
         other = self._coerce(other)
         if not self.terms or not other.terms:
             return _ZERO
+        # a constant factor scales the coefficients and moves no exponent
+        if len(other.terms) == 1 and _CONST in other.terms:
+            k = other.terms[_CONST]
+            return from_terms({e: c * k for e, c in self.terms.items()})
+        if len(self.terms) == 1 and _CONST in self.terms:
+            k = self.terms[_CONST]
+            return from_terms({e: k * c for e, c in other.terms.items()})
         out: Dict[Exponent, QI] = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Dict, Iterable, List, Sequence
 
 from .basis import (BasisLabel, enumerate_basis, energy, group_action,
                     j2_eigenvalue, norm_ratio, psi, rho1_eigenvalue)
 from .group import ALL_ELEMENTS, act, elem_name, rotation
-from .kernel import IDENTITIES, IDENTITY_NAMES, ProofResult, prove_named
+from .kernel import IDENTITIES, IDENTITY_NAMES, prove_named
 from .operators import apply_named
 from .params import DEFAULT_PARAMS, EXTRA_PARAM_SETS, Params
 from .poly import MPoly
@@ -259,18 +258,11 @@ def _suite_cai(params: Params, max_degree: int) -> List[Case]:
     return cases
 
 
-@lru_cache(maxsize=None)
-def _proof(name: str) -> ProofResult:
-    """Symbolic proofs do not depend on the suite parameters, so the kernel
-    and superint suites share one proof of each identity."""
-    return prove_named(name)
-
-
 def _suite_kernel(params: Params, max_degree: int) -> List[Case]:
     cases = []
     for name in IDENTITY_NAMES:
         expected = IDENTITIES[name].provable
-        res = _proof(name)
+        res = prove_named(name)
         ok = res.proven == expected
         detail = res.status.lower()
         if not res.proven:
@@ -297,7 +289,7 @@ def _suite_weighted_conjugation(params: Params, max_degree: int) -> List[Case]:
 
 
 def _suite_superint(params: Params, max_degree: int) -> List[Case]:
-    res = _proof("angular-quartic")
+    res = prove_named("angular-quartic")
     cases = [Case("formal-refutation", not res.proven,
                   f"{res.status.lower()} with witness on "
                   f"{len(res.residual.parts)} elements"

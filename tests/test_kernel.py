@@ -13,6 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from b2dunkl.group import (ALL_ELEMENTS, IDENTITY, inv, mul, reflection,
                            rotation, transform_pair)
+from b2dunkl import kernel
 from b2dunkl.kernel import (
     IDENTITIES, IDENTITY_NAMES, KernelState, ProofResult, get_identity,
     k_apply, k_initial, prove, prove_named,
@@ -207,6 +208,60 @@ def test_memoised_first_order_matches_whole_amplitude_quotients(parts, pr):
     for var in ("z", "zb"):
         assert k_apply(Dunkl(var), state, pr) == \
             direct_first_order(var, state, pr)
+
+
+@given(st.dictionaries(st.sampled_from(ALL_ELEMENTS), amplitudes(),
+                       min_size=1, max_size=8),
+       st.one_of(numeric_triples(), st.just(Params.symbolic())))
+@settings(max_examples=25, deadline=None)
+def test_registry_generators_match_whole_amplitude_quotients(parts, pr):
+    # named T and Tb go through the image memo: twice on one state (the
+    # second a hit on the same result), once on an equal but distinct state
+    state, twin = KernelState(parts), KernelState(dict(parts))
+    for name, var in (("T", "z"), ("Tb", "zb")):
+        expected = direct_first_order(var, state, pr)
+        first = k_apply(named(name), state, pr)
+        assert first == expected
+        assert k_apply(named(name), state, pr) is first
+        assert k_apply(named(name), twin, pr) == expected
+
+
+def _count_first_order(monkeypatch):
+    calls = []
+    inner = kernel._first_order
+
+    def counted(var, state, params):
+        calls.append(var)
+        return inner(var, state, params)
+
+    monkeypatch.setattr(kernel, "_first_order", counted)
+    return calls
+
+
+def test_catalogue_first_order_steps(monkeypatch):
+    # each registry operator is applied once per distinct state across the
+    # whole catalogue; proving each identity from scratch takes 275 steps
+    calls = _count_first_order(monkeypatch)
+    kernel.registry_image.cache_clear()
+    for name in IDENTITY_NAMES:
+        prove_named(name)
+    assert 0 < len(calls) <= 95
+
+
+def test_shared_images_give_cold_proofs():
+    # every proof on a memo warmed by the others equals the same proof from
+    # a cleared memo, whichever order the catalogue is proven in
+    cold = {}
+    for name in IDENTITY_NAMES:
+        kernel.registry_image.cache_clear()
+        cold[name] = prove_named(name)
+    for order in (IDENTITY_NAMES, IDENTITY_NAMES[::-1]):
+        kernel.registry_image.cache_clear()
+        for name in order:
+            res = prove_named(name)
+            assert res.status == cold[name].status, name
+            assert res.residual == cold[name].residual, name
+            assert res == cold[name], name
 
 
 def test_repeated_proof_divides_nothing(monkeypatch):

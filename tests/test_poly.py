@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction as Q
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -260,3 +261,28 @@ def test_divide_linear_results_equal_validated_rebuild(p, q, j, other):
             res = num.divide_linear(d)
             assert_canonical(res)
             assert res == p
+
+
+def general_product(p, q):
+    """The term-by-term product, with no constant-factor shortcut."""
+    out = {}
+    for ea, ca in p.terms.items():
+        for eb, cb in q.terms.items():
+            exp = tuple(map(add, ea, eb))
+            out[exp] = out.get(exp, QI(0)) + ca * cb
+    return MPoly(UNIVERSE, out)
+
+
+gauss_rationals = st.one_of(st.just(QI(0)), st.builds(QI, coeffs, coeffs))
+
+
+@given(mixed_polys(), gauss_rationals)
+@settings(max_examples=80)
+def test_constant_factor_matches_general_product(p, c):
+    # p has spectators u, w besides z, zb; c may be zero
+    k = MPoly.const(c)
+    expected = general_product(p, k)
+    for res in (p * k, k * p, p * c, c * p, k * k * p):
+        assert_canonical(res)
+    assert p * k == k * p == p * c == c * p == expected
+    assert k * k * p == general_product(general_product(k, k), p)

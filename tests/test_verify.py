@@ -59,19 +59,29 @@ def test_superint_suite_refutes_and_witnesses():
 
 
 def test_kernel_and_superint_share_one_refutation(monkeypatch):
-    from b2dunkl import verify
-    calls = []
+    # the image memo carries the kernel suite's work over to superint: its
+    # refutation takes no first-order step, and the kernel suite proves
+    # every identity exactly once
+    from b2dunkl import kernel, verify
+    proofs, steps = [], []
+    first_order = kernel._first_order
 
     def counting(name):
-        calls.append(name)
+        proofs.append(name)
         return prove_named(name)
 
-    verify._proof.cache_clear()
+    def counted_step(var, state, params):
+        steps.append(var)
+        return first_order(var, state, params)
+
+    kernel.registry_image.cache_clear()
     monkeypatch.setattr(verify, "prove_named", counting)
-    try:
-        reports = run_suites(["kernel", "superint"], DEFAULT_PARAMS, 0)
-    finally:
-        verify._proof.cache_clear()
+    monkeypatch.setattr(kernel, "_first_order", counted_step)
+    reports = run_suites(["kernel"], DEFAULT_PARAMS, 0)
+    assert sorted(proofs) == sorted(IDENTITY_NAMES)
+    assert steps
+    del proofs[:], steps[:]
+    reports += run_suites(["superint"], DEFAULT_PARAMS, 0)
     assert all(r.passed for r in reports)
-    assert calls.count("angular-quartic") == 1
-    assert sorted(calls) == sorted(IDENTITY_NAMES)
+    assert proofs == ["angular-quartic"]
+    assert not steps
