@@ -56,7 +56,9 @@ def _elem_key(g: GroupElem):
 
 
 class KernelState:
-    """Group-indexed family of amplitudes; zero amplitudes are dropped."""
+    """Group-indexed family of amplitudes; zero amplitudes are dropped.
+    Do not mutate ``parts``: the seed state and memoised images are shared
+    by every proof in the process."""
 
     __slots__ = ("parts",)
 

@@ -11,9 +11,9 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from b2dunkl import kernel
 from b2dunkl.group import (ALL_ELEMENTS, IDENTITY, inv, mul, reflection,
                            rotation, transform_pair)
-from b2dunkl import kernel
 from b2dunkl.kernel import (
     IDENTITIES, IDENTITY_NAMES, KernelState, ProofResult, get_identity,
     k_apply, k_initial, prove, prove_named,
