@@ -24,7 +24,6 @@ import json
 import os
 import sys
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii as _quote
 from typing import List, Optional, Sequence
 
 from .basis import energy, enumerate_basis, isotype, psi, rho1_eigenvalue
@@ -153,58 +152,8 @@ def _emit(text: str, args) -> None:
         sys.stdout.write(text)
 
 
-def render_json(obj) -> str:
-    """The bytes of `json.dumps(obj, indent=2)` for reports built from
-    dicts with string keys, lists, tuples, strings, ints, bools and None.
-    With `indent` set the standard library falls back to its pure-Python
-    encoder; here only the layout is Python and every string goes through
-    the C `encode_basestring_ascii`."""
-    out: List[str] = []
-    _render(obj, "\n", out)
-    return "".join(out)
-
-
-def _render(obj, newline: str, out: List[str]) -> None:
-    if isinstance(obj, str):
-        out.append(_quote(obj))
-    elif obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, int):
-        out.append(int.__repr__(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key, value in obj.items():
-            out.append(sep)
-            out.append(_quote(key))
-            out.append(": ")
-            _render(value, inner, out)
-            sep = "," + inner
-        out.append(newline + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        sep = "[" + inner
-        for value in obj:
-            out.append(sep)
-            _render(value, inner, out)
-            sep = "," + inner
-        out.append(newline + "]")
-    else:
-        raise TypeError(f"not renderable as a report: {obj!r}")
-
-
 def _emit_json(obj, args) -> None:
-    _emit(render_json(obj) + "\n", args)
+    _emit(json.dumps(obj, indent=2) + "\n", args)
 
 
 def _emit_csv(rows: Sequence[Sequence[str]], args) -> None:
@@ -367,7 +316,8 @@ def _cmd_prove(args) -> int:
     elif result.proven:
         _emit("PROVEN\n", args)
     else:
-        _emit("REFUTED\n" + render_json(result.to_json_dict()) + "\n", args)
+        _emit("REFUTED\n" + json.dumps(result.to_json_dict(), indent=2)
+              + "\n", args)
     return 0 if result.proven else 1
 
 

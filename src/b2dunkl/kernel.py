@@ -23,18 +23,23 @@ their closed forms.  No intermediate polynomial is built.
 
 Registry operators (the `named` trees, T and Tb among them) are applied
 through `registry_image`, one image per (operator, input state, params)
-for the life of the process, so the seed's images under K, Hcal, H_j, J2
-and their Dunkl chains are computed once across the whole catalogue.
-Other trees are walked by `operators.evaluate`, where the parts of a Sum
-applied to one state share their first-order steps.
+within an `image_scope`.  `k_apply` and `prove` open a scope when none is
+open, and a verification run opens one around all its suites, so the
+seed's images under K, Hcal, H_j, J2 and their Dunkl chains are computed
+once per proof, or once per run across the `kernel` and `superint`
+suites.  The memo is emptied when the outermost scope closes, so it never
+outlives the call that filled it.  Other trees are walked by
+`operators.evaluate`, where the parts of a Sum applied to one state share
+their first-order steps.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
 from .group import (GroupElem, act, elem_name, inv, mul, reflection,
                     rotation, transform_pair, IDENTITY)
@@ -58,7 +63,7 @@ def _elem_key(g: GroupElem):
 class KernelState:
     """Group-indexed family of amplitudes; zero amplitudes are dropped.
     Do not mutate ``parts``: the seed state and memoised images are shared
-    by every proof in the process."""
+    by the proofs of a scope."""
 
     __slots__ = ("parts",)
 
@@ -120,7 +125,7 @@ _SEED = KernelState({IDENTITY: MPoly.const(1)})
 
 def k_initial() -> KernelState:
     """The seed state {identity: 1}; one shared object, so the image memo
-    recognises it across proofs."""
+    recognises it across the proofs of a scope."""
     return _SEED
 
 
@@ -171,7 +176,8 @@ def _relabel(g: GroupElem, state: KernelState) -> KernelState:
 
 class _Held:
     """A memo key part that hashes and compares by identity.  The memo
-    keeps the key, so the object stays alive and its id stays valid."""
+    keeps the key, so the object stays alive and its id stays valid until
+    the scope closes."""
 
     __slots__ = ("obj",)
 
@@ -192,9 +198,26 @@ _SYMBOLIC = Params.symbolic()
 @lru_cache(maxsize=None)
 def registry_image(name: str, state: _Held, params: Params) -> KernelState:
     """The image of a state under the registry operator `name`, once per
-    (operator, state object, params)."""
+    (operator, state object, params) within the open `image_scope`."""
     return evaluate(named(name), state.obj, params, k_apply, _first_order,
                     _relabel)
+
+
+_open_scopes = 0
+
+
+@contextmanager
+def image_scope() -> Iterator[None]:
+    """Share registry images among the applications made inside; scopes
+    nest, and the outermost one empties `registry_image` when it closes."""
+    global _open_scopes
+    _open_scopes += 1
+    try:
+        yield
+    finally:
+        _open_scopes -= 1
+        if not _open_scopes:
+            registry_image.cache_clear()
 
 
 def k_apply(expr: Expr, state: KernelState,
@@ -202,7 +225,11 @@ def k_apply(expr: Expr, state: KernelState,
     """Apply an operator tree to a state; params default to fully symbolic.
     A registry tree (`named`, the generators T and Tb among them) is looked
     up in `registry_image`; any other tree is walked by `evaluate`, with
-    `scope` the enclosing Sum scope when called from inside a walk."""
+    `scope` the enclosing Sum scope when called from inside a walk.  A call
+    made outside any `image_scope` runs in a scope of its own."""
+    if not _open_scopes:
+        with image_scope():
+            return k_apply(expr, state, params, scope)
     if params is None:
         params = _SYMBOLIC
     name = _REGISTRY_NAMES.get(id(expr))
@@ -246,8 +273,10 @@ class ProofResult:
 
 def prove(lhs: Expr, rhs: Expr = ZERO_OP,
           name: Optional[str] = None) -> ProofResult:
-    """Decide lhs == rhs on all polynomials, couplings fully symbolic."""
-    residual = (k_apply(lhs, k_initial()) - k_apply(rhs, k_initial()))
+    """Decide lhs == rhs on all polynomials, couplings fully symbolic.  The
+    two sides share one image scope."""
+    with image_scope():
+        residual = (k_apply(lhs, k_initial()) - k_apply(rhs, k_initial()))
     return ProofResult(residual.is_zero(), residual, name)
 
 

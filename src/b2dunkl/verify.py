@@ -15,7 +15,7 @@ from typing import Callable, Dict, Iterable, List, Sequence
 from .basis import (BasisLabel, enumerate_basis, energy, group_action,
                     j2_eigenvalue, norm_ratio, psi, rho1_eigenvalue)
 from .group import ALL_ELEMENTS, act, elem_name, rotation
-from .kernel import IDENTITIES, IDENTITY_NAMES, prove_named
+from .kernel import IDENTITIES, IDENTITY_NAMES, image_scope, prove_named
 from .operators import apply_named
 from .params import DEFAULT_PARAMS, EXTRA_PARAM_SETS, Params
 from .poly import MPoly
@@ -348,4 +348,7 @@ def run_suites(names: Sequence[str], params: Params,
     if unknown:
         raise KeyError(f"unknown suite {unknown[0]!r}; available: "
                        + ", ".join(SUITE_ORDER) + ", all")
-    return [run_suite(n, params, max_degree) for n in ordered]
+    # one image scope: the superint suite reuses the kernel suite's proof
+    # of the angular quartic
+    with image_scope():
+        return [run_suite(n, params, max_degree) for n in ordered]

@@ -111,19 +111,18 @@ def _count_calls(monkeypatch, module, name):
 def test_quartic_shares_first_order_steps(monkeypatch):
     # K = A^2 + B^2 with A = 2T^2 - 1/2 w^2 zb^2, B = 2Tb^2 - 1/2 w^2 z^2:
     # two first-order steps per application of A or B; the paper's form
-    # sum_j (-1)^j H_j^2 takes 25 steps with sharing, 48 without; the
-    # image memo is cleared so that every step runs
+    # sum_j (-1)^j H_j^2 takes 25 steps with sharing, 48 without; a call
+    # outside any image scope starts from an empty memo, so every step runs
     calls = _count_calls(monkeypatch, kernel, "_first_order")
-    kernel.registry_image.cache_clear()
     k_apply(named("K"), k_initial())
     assert len(calls) == 8
+    assert kernel.registry_image.cache_info().currsize == 0
 
 
 def test_quartic_hat_shares_first_order_steps(monkeypatch):
     # Ahat = 2T^2 - w zb T - w T zb shares Tx between 2T^2 and w zb T, so
     # each application takes three steps; the paper's form takes 41
     calls = _count_calls(monkeypatch, kernel, "_first_order")
-    kernel.registry_image.cache_clear()
     k_apply(named("Khat"), k_initial())
     assert len(calls) == 12
 

@@ -218,12 +218,14 @@ def test_registry_generators_match_whole_amplitude_quotients(parts, pr):
     # named T and Tb go through the image memo: twice on one state (the
     # second a hit on the same result), once on an equal but distinct state
     state, twin = KernelState(parts), KernelState(dict(parts))
-    for name, var in (("T", "z"), ("Tb", "zb")):
-        expected = direct_first_order(var, state, pr)
-        first = k_apply(named(name), state, pr)
-        assert first == expected
-        assert k_apply(named(name), state, pr) is first
-        assert k_apply(named(name), twin, pr) == expected
+    with kernel.image_scope():
+        for name, var in (("T", "z"), ("Tb", "zb")):
+            expected = direct_first_order(var, state, pr)
+            first = k_apply(named(name), state, pr)
+            assert first == expected
+            assert k_apply(named(name), state, pr) is first
+            assert k_apply(named(name), twin, pr) == expected
+    assert kernel.registry_image.cache_info().currsize == 0
 
 
 def _count_first_order(monkeypatch):
@@ -239,29 +241,48 @@ def _count_first_order(monkeypatch):
 
 
 def test_catalogue_first_order_steps(monkeypatch):
-    # each registry operator is applied once per distinct state across the
-    # whole catalogue; proving each identity from scratch takes 275 steps
+    # in one image scope each registry operator is applied once per
+    # distinct state across the whole catalogue; each proof in its own
+    # scope shares images only between its two sides, and each proof from
+    # scratch takes 275 steps in all
     calls = _count_first_order(monkeypatch)
-    kernel.registry_image.cache_clear()
+    with kernel.image_scope():
+        for name in IDENTITY_NAMES:
+            prove_named(name)
+    assert 0 < len(calls) <= 95
+    del calls[:]
     for name in IDENTITY_NAMES:
         prove_named(name)
-    assert 0 < len(calls) <= 95
+    assert 95 < len(calls) < 275
+
+
+def test_image_memo_is_emptied_when_its_scope_closes():
+    # the memo never outlives the call that filled it, so a process that
+    # proves many identities does not accumulate images
+    prove_named("angular-quartic")
+    assert kernel.registry_image.cache_info().currsize == 0
+    with kernel.image_scope():
+        prove_named("angular-quartic")
+        with kernel.image_scope():
+            k_apply(named("K"), k_initial())
+        held = kernel.registry_image.cache_info().currsize
+        assert held > 0
+        prove_named("quartic-hamiltonian")
+        assert kernel.registry_image.cache_info().currsize > held
+    assert kernel.registry_image.cache_info().currsize == 0
 
 
 def test_shared_images_give_cold_proofs():
-    # every proof on a memo warmed by the others equals the same proof from
-    # a cleared memo, whichever order the catalogue is proven in
-    cold = {}
-    for name in IDENTITY_NAMES:
-        kernel.registry_image.cache_clear()
-        cold[name] = prove_named(name)
+    # every proof on a memo warmed by the others equals the same proof in
+    # a scope of its own, whichever order the catalogue is proven in
+    cold = {name: prove_named(name) for name in IDENTITY_NAMES}
     for order in (IDENTITY_NAMES, IDENTITY_NAMES[::-1]):
-        kernel.registry_image.cache_clear()
-        for name in order:
-            res = prove_named(name)
-            assert res.status == cold[name].status, name
-            assert res.residual == cold[name].residual, name
-            assert res == cold[name], name
+        with kernel.image_scope():
+            for name in order:
+                res = prove_named(name)
+                assert res.status == cold[name].status, name
+                assert res.residual == cold[name].residual, name
+                assert res == cold[name], name
 
 
 def test_repeated_proof_divides_nothing(monkeypatch):

@@ -59,29 +59,29 @@ def test_superint_suite_refutes_and_witnesses():
 
 
 def test_kernel_and_superint_share_one_refutation(monkeypatch):
-    # the image memo carries the kernel suite's work over to superint: its
-    # refutation takes no first-order step, and the kernel suite proves
-    # every identity exactly once
+    # one run is one image scope: the superint suite's refutation reuses
+    # the kernel suite's images and takes no first-order step, the kernel
+    # suite proves every identity exactly once, and the memo is empty after
+    # the run
     from b2dunkl import kernel, verify
     proofs, steps = [], []
     first_order = kernel._first_order
 
     def counting(name):
-        proofs.append(name)
-        return prove_named(name)
+        before = len(steps)
+        res = prove_named(name)
+        proofs.append((name, len(steps) - before))
+        return res
 
     def counted_step(var, state, params):
         steps.append(var)
         return first_order(var, state, params)
 
-    kernel.registry_image.cache_clear()
     monkeypatch.setattr(verify, "prove_named", counting)
     monkeypatch.setattr(kernel, "_first_order", counted_step)
-    reports = run_suites(["kernel"], DEFAULT_PARAMS, 0)
-    assert sorted(proofs) == sorted(IDENTITY_NAMES)
-    assert steps
-    del proofs[:], steps[:]
-    reports += run_suites(["superint"], DEFAULT_PARAMS, 0)
+    reports = run_suites(["kernel", "superint"], DEFAULT_PARAMS, 0)
     assert all(r.passed for r in reports)
-    assert proofs == ["angular-quartic"]
-    assert not steps
+    assert sorted(name for name, _ in proofs[:-1]) == sorted(IDENTITY_NAMES)
+    assert sum(n for _, n in proofs[:-1]) > 0
+    assert proofs[-1] == ("angular-quartic", 0)
+    assert kernel.registry_image.cache_info().currsize == 0
