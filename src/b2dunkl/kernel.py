@@ -21,16 +21,15 @@ quotients, which are linear and leave u, ub, k0, k1 and w alone, come term
 by term from `operators.monomial_quotients`, the per-monomial memo of
 their closed forms.  No intermediate polynomial is built.
 
-Registry operators (the `named` trees, T and Tb among them) are applied
-through `registry_image`, one image per (operator, input state, params)
-within an `image_scope`.  `k_apply` and `prove` open a scope when none is
+Operator trees are walked by `operators.evaluate`, which applies each
+registry operator (the `named` trees, T and Tb among them) once per
+(operator, input state, params) within one memo.  Here that memo is the
+one `image_scope` yields: `k_apply` and `prove` open a scope when none is
 open, and a verification run opens one around all its suites, so the
 seed's images under K, Hcal, H_j, J2 and their Dunkl chains are computed
 once per proof, or once per run across the `kernel` and `superint`
 suites.  The memo is emptied when the outermost scope closes, so it never
-outlives the call that filled it.  Other trees are walked by
-`operators.evaluate`, where the parts of a Sum applied to one state share
-their first-order steps.
+outlives the call that filled it.
 """
 
 from __future__ import annotations
@@ -43,9 +42,9 @@ from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
 from .group import (GroupElem, act, elem_name, inv, mul, reflection,
                     rotation, transform_pair, IDENTITY)
-from .operators import (OPERATOR_NAMES, Commutator, Compose, Expr, GroupOp,
-                        Mul, Sum, add_scaled, evaluate, monomial_quotients,
-                        named)
+from .operators import (Commutator, Compose, Expr, GroupOp, Mul, Sum,
+                        add_scaled, evaluate, monomial_quotients, named,
+                        visit)
 from .params import Params
 from .poly import Exponent, MPoly, from_terms
 from .scalars import QI
@@ -174,69 +173,41 @@ def _relabel(g: GroupElem, state: KernelState) -> KernelState:
     return KernelState({mul(g, w): act(g, p) for w, p in state.parts.items()})
 
 
-class _Held:
-    """A memo key part that hashes and compares by identity.  The memo
-    keeps the key, so the object stays alive and its id stays valid until
-    the scope closes."""
-
-    __slots__ = ("obj",)
-
-    def __init__(self, obj):
-        self.obj = obj
-
-    def __hash__(self) -> int:
-        return id(self.obj)
-
-    def __eq__(self, other) -> bool:
-        return self.obj is other.obj
-
-
-_REGISTRY_NAMES = {id(named(name)): name for name in OPERATOR_NAMES}
 _SYMBOLIC = Params.symbolic()
-
-
-@lru_cache(maxsize=None)
-def registry_image(name: str, state: _Held, params: Params) -> KernelState:
-    """The image of a state under the registry operator `name`, once per
-    (operator, state object, params) within the open `image_scope`."""
-    return evaluate(named(name), state.obj, params, k_apply, _first_order,
-                    _relabel)
-
-
-_open_scopes = 0
+_IMAGES: dict = {}
+_scope_open = False
 
 
 @contextmanager
-def image_scope() -> Iterator[None]:
-    """Share registry images among the applications made inside; scopes
-    nest, and the outermost one empties `registry_image` when it closes."""
-    global _open_scopes
-    _open_scopes += 1
+def image_scope() -> Iterator[dict]:
+    """Yield the image memo that the applications made inside share;
+    nested scopes reuse it, and the outermost one empties it when it
+    closes."""
+    global _scope_open
+    if _scope_open:
+        yield _IMAGES
+        return
+    _scope_open = True
     try:
-        yield
+        yield _IMAGES
     finally:
-        _open_scopes -= 1
-        if not _open_scopes:
-            registry_image.cache_clear()
+        _scope_open = False
+        _IMAGES.clear()
 
 
 def k_apply(expr: Expr, state: KernelState,
-            params: Optional[Params] = None, scope=None) -> KernelState:
+            params: Optional[Params] = None, memo=None) -> KernelState:
     """Apply an operator tree to a state; params default to fully symbolic.
-    A registry tree (`named`, the generators T and Tb among them) is looked
-    up in `registry_image`; any other tree is walked by `evaluate`, with
-    `scope` the enclosing Sum scope when called from inside a walk.  A call
-    made outside any `image_scope` runs in a scope of its own."""
-    if not _open_scopes:
-        with image_scope():
-            return k_apply(expr, state, params, scope)
+    A top-level call looks the tree up in the memo of the open
+    `image_scope`, opening one of its own if none is open; a call from
+    inside a walk passes the walk's `memo`."""
     if params is None:
         params = _SYMBOLIC
-    name = _REGISTRY_NAMES.get(id(expr))
-    if name is not None:
-        return registry_image(name, _Held(state), params)
-    return evaluate(expr, state, params, k_apply, _first_order, _relabel,
-                    scope)
+    if memo is not None:
+        return evaluate(expr, state, params, k_apply, _first_order,
+                        _relabel, memo)
+    with image_scope() as memo:
+        return visit(expr, state, params, k_apply, memo)
 
 
 # ---- identity catalogue --------------------------------------------------

@@ -19,6 +19,13 @@ multiplication coefficients as the variables k0, k1, w.  The instantiated
 coefficient of each `Mul` node is memoised per parameter triple
 (`coefficient`), so a tree applied many times at one triple substitutes
 each coefficient once.
+
+One tree walk, `evaluate`, serves both carriers: polynomials here
+(`apply`) and the prover's states (`kernel.k_apply`).  It has one memo
+rule: a registry tree (a `named` operator, T and Tb among them) is
+applied once per input within one memo, and no other node is memoised.
+`apply` starts a fresh memo per top-level call; the prover's memo lives
+for one `kernel.image_scope`.
 """
 
 from __future__ import annotations
@@ -179,22 +186,14 @@ def coefficient(node: Mul, params: Params) -> MPoly:
 
 
 def evaluate(expr: Expr, x, params: Params, recurse, dunkl, group_act,
-             scope=None):
+             memo: dict):
     """Evaluate an operator tree on a carrier x.
 
     The carrier needs +, - and multiplication by a polynomial; `dunkl(var,
     x, params)` and `group_act(elem, x)` act at the leaves, and subtrees are
-    evaluated through `recurse(expr, x, params, scope)`.
-
-    The parts of a Sum share their Dunkl results.  A Sum whose input is not
-    the input of the enclosing scope opens a scope (x, memo), nested Sums
-    over the same x reuse it, and it is dropped when the Sum that opened it
-    returns.  Inside a scope a Dunkl leaf applied to an input y is looked up
-    under (direction, id(y)); each entry holds y, so the id stays valid.
-    In Khat = Ahat^2 + Bhat^2 the parts 2T^2 and -w zb T of Ahat thus share
-    Tx, so one application of Ahat or Bhat takes three Dunkl steps and
-    Khat twelve; K = A^2 + B^2 takes eight.  The carrier's values must be
-    immutable, because a memo hands one result to several parts.
+    evaluated through `visit`, which shares registry images through `memo`.
+    The carrier's values must be immutable, because the memo hands one
+    result to several parts.
     """
     if isinstance(expr, Dunkl):
         return dunkl(expr.var, x, params)
@@ -203,40 +202,51 @@ def evaluate(expr: Expr, x, params: Params, recurse, dunkl, group_act,
     if isinstance(expr, GroupOp):
         return group_act(expr.elem, x)
     if isinstance(expr, Sum):
-        if scope is None or scope[0] is not x:
-            scope = (x, {})
-        return sum((_visit(part, x, params, recurse, scope)
+        return sum((visit(part, x, params, recurse, memo)
                     for part in expr.parts), x * MPoly.zero())
     if isinstance(expr, Compose):
         for part in reversed(expr.parts):
-            x = _visit(part, x, params, recurse, scope)
+            x = visit(part, x, params, recurse, memo)
         return x
     if isinstance(expr, Commutator):
-        ab = _visit(expr.b, x, params, recurse, scope)
-        ab = _visit(expr.a, ab, params, recurse, scope)
-        ba = _visit(expr.a, x, params, recurse, scope)
-        ba = _visit(expr.b, ba, params, recurse, scope)
+        ab = visit(expr.b, x, params, recurse, memo)
+        ab = visit(expr.a, ab, params, recurse, memo)
+        ba = visit(expr.a, x, params, recurse, memo)
+        ba = visit(expr.b, ba, params, recurse, memo)
         return ab - ba
     raise TypeError(f"not an operator expression: {expr!r}")
 
 
-def _visit(expr: Expr, x, params: Params, recurse, scope):
-    """Evaluate a subtree; inside a scope, a Dunkl leaf first looks up its
-    memo and recurses only on a miss."""
-    if scope is None or not isinstance(expr, Dunkl):
-        return recurse(expr, x, params, scope)
-    memo = scope[1]
-    key = (expr.var, id(x))
-    hit = memo.get(key)
+def visit(expr: Expr, x, params: Params, recurse, memo: dict):
+    """Evaluate a subtree on x through `recurse(expr, x, params, memo)`.
+
+    A registry tree (`named`, the generators T and Tb among them) is first
+    looked up in `memo` under (id(expr), params) and then id(x), and
+    recursed into only on a miss.  Each image holds x, so its id stays
+    valid; registry trees live as long as the module.  So every registry
+    operator acts once per input within one memo: in Khat = Ahat^2 + Bhat^2
+    the parts 2T^2 and -w zb T of Ahat share Tx, one application of Ahat or
+    Bhat takes three Dunkl steps and Khat twelve, and K = A^2 + B^2 takes
+    eight.  No other node is memoised.
+    """
+    if id(expr) not in _REGISTRY_IDS:
+        return recurse(expr, x, params, memo)
+    # one dict per (tree, params) keeps each image to one id and one pair
+    images = memo.get((id(expr), params))
+    if images is None:
+        images = memo[id(expr), params] = {}
+    hit = images.get(id(x))
     if hit is None:
-        hit = memo[key] = (x, recurse(expr, x, params, scope))
+        hit = images[id(x)] = (x, recurse(expr, x, params, memo))
     return hit[1]
 
 
-def apply(expr: Expr, p: MPoly, params: Params, scope=None) -> MPoly:
-    """Apply an operator tree to a polynomial; `scope` is the enclosing Sum
-    scope of `evaluate` when called from inside a walk."""
-    return evaluate(expr, p, params, apply, apply_dunkl, act, scope)
+def apply(expr: Expr, p: MPoly, params: Params, memo=None) -> MPoly:
+    """Apply an operator tree to a polynomial; a top-level call shares
+    registry images within a fresh memo, and a call from inside a walk
+    passes the walk's `memo`."""
+    return evaluate(expr, p, params, apply, apply_dunkl, act,
+                    {} if memo is None else memo)
 
 
 # ---- named operators ---------------------------------------------------
@@ -351,6 +361,7 @@ def _build_registry() -> Dict[str, Expr]:
 
 
 _REGISTRY = _build_registry()
+_REGISTRY_IDS = frozenset(map(id, _REGISTRY.values()))
 
 OPERATOR_NAMES = tuple(sorted(_REGISTRY))
 
@@ -372,7 +383,8 @@ def apply_named(name: str, p: MPoly, params: Params) -> MPoly:
 def expr_from_json(obj: dict) -> Expr:
     kind = obj["op"]
     if kind == "dunkl":
-        return Dunkl(obj["var"])
+        # the registry generator, so that its images are shared
+        return T if Dunkl(obj["var"]) == T else TB
     if kind == "mul":
         return Mul(MPoly.from_json_dict(obj["poly"]))
     if kind == "group":

@@ -15,7 +15,7 @@ from b2dunkl.group import act, reflection
 from b2dunkl.kernel import KernelState, k_apply, k_initial
 from b2dunkl.operators import (OPERATOR_NAMES, Commutator, Compose, Dunkl,
                                GroupOp, Mul, Sum, apply, apply_dunkl,
-                               coefficient, named)
+                               coefficient, expr_from_json, named)
 from b2dunkl.params import Params
 from b2dunkl.poly import MPoly
 from b2dunkl.scalars import QI
@@ -112,11 +112,13 @@ def test_quartic_shares_first_order_steps(monkeypatch):
     # K = A^2 + B^2 with A = 2T^2 - 1/2 w^2 zb^2, B = 2Tb^2 - 1/2 w^2 z^2:
     # two first-order steps per application of A or B; the paper's form
     # sum_j (-1)^j H_j^2 takes 25 steps with sharing, 48 without; a call
-    # outside any image scope starts from an empty memo, so every step runs
+    # outside any image scope starts from an empty memo, so every step runs,
+    # and leaves the memo empty
     calls = _count_calls(monkeypatch, kernel, "_first_order")
     k_apply(named("K"), k_initial())
     assert len(calls) == 8
-    assert kernel.registry_image.cache_info().currsize == 0
+    with kernel.image_scope() as memo:
+        assert memo == {}
 
 
 def test_quartic_hat_shares_first_order_steps(monkeypatch):
@@ -132,8 +134,31 @@ def test_quartic_hat_numeric_dunkl_applications(monkeypatch):
     p = MPoly.var("z") ** 3 * MPoly.var("zb") ** 2
     pr = Params.numeric("13/17", "19/23", "29/31")
     image = apply(named("Khat"), p, pr)
-    assert 0 < len(calls) <= 12     # the paper's form takes 41
+    assert len(calls) == 12     # the paper's form takes 41
     assert image == direct_apply(named("Khat"), p, pr)
+
+
+JSON_SUM = {"op": "sum", "parts": [
+    {"op": "dunkl", "var": "z"},
+    {"op": "compose", "parts": [{"op": "dunkl", "var": "z"},
+                                {"op": "dunkl", "var": "z"}]}]}
+
+
+def test_json_generators_share_registry_images(monkeypatch):
+    # a JSON Dunkl node is the registry T, so Sum(T, T T) applies T to x
+    # once and to Tx once, on polynomials and on prover states
+    op = expr_from_json(JSON_SUM)
+    assert op.parts[0] is named("T")
+    dunkl = _count_calls(monkeypatch, operators, "apply_dunkl")
+    steps = _count_calls(monkeypatch, kernel, "_first_order")
+    p = MPoly.var("z") ** 3 * MPoly.var("zb") ** 2
+    pr = Params.numeric("13/17", "19/23", "29/31")
+    image = apply(op, p, pr)
+    assert len(dunkl) == 2
+    assert image == direct_apply(op, p, pr)
+    state = k_apply(op, k_initial())
+    assert len(steps) == 2
+    assert state == direct_k_apply(op, k_initial())
 
 
 def _mul_nodes(expr, seen):

@@ -218,14 +218,14 @@ def test_registry_generators_match_whole_amplitude_quotients(parts, pr):
     # named T and Tb go through the image memo: twice on one state (the
     # second a hit on the same result), once on an equal but distinct state
     state, twin = KernelState(parts), KernelState(dict(parts))
-    with kernel.image_scope():
+    with kernel.image_scope() as memo:
         for name, var in (("T", "z"), ("Tb", "zb")):
             expected = direct_first_order(var, state, pr)
             first = k_apply(named(name), state, pr)
             assert first == expected
             assert k_apply(named(name), state, pr) is first
             assert k_apply(named(name), twin, pr) == expected
-    assert kernel.registry_image.cache_info().currsize == 0
+    assert memo == {}
 
 
 def _count_first_order(monkeypatch):
@@ -254,22 +254,27 @@ def test_catalogue_first_order_steps(monkeypatch):
     for name in IDENTITY_NAMES:
         prove_named(name)
     assert 95 < len(calls) < 275
+    assert len(calls) == 245
 
 
 def test_image_memo_is_emptied_when_its_scope_closes():
     # the memo never outlives the call that filled it, so a process that
-    # proves many identities does not accumulate images
+    # proves many identities does not accumulate images; every scope, nested
+    # or not, yields the one memo
     prove_named("angular-quartic")
-    assert kernel.registry_image.cache_info().currsize == 0
-    with kernel.image_scope():
+    with kernel.image_scope() as memo:
+        assert memo == {}
+    with kernel.image_scope() as again:
+        assert again is memo
         prove_named("angular-quartic")
-        with kernel.image_scope():
+        with kernel.image_scope() as inner:
+            assert inner is memo
             k_apply(named("K"), k_initial())
-        held = kernel.registry_image.cache_info().currsize
+        held = len(memo)
         assert held > 0
         prove_named("quartic-hamiltonian")
-        assert kernel.registry_image.cache_info().currsize > held
-    assert kernel.registry_image.cache_info().currsize == 0
+        assert len(memo) > held
+    assert memo == {}
 
 
 def test_shared_images_give_cold_proofs():

@@ -84,4 +84,27 @@ def test_kernel_and_superint_share_one_refutation(monkeypatch):
     assert sorted(name for name, _ in proofs[:-1]) == sorted(IDENTITY_NAMES)
     assert sum(n for _, n in proofs[:-1]) > 0
     assert proofs[-1] == ("angular-quartic", 0)
-    assert kernel.registry_image.cache_info().currsize == 0
+    with kernel.image_scope() as memo:
+        assert memo == {}
+
+
+def test_one_wrong_prediction_fails_its_level(monkeypatch, capsys):
+    # fault injection: a single wrong entry of the k table must fail its
+    # level and the run, so the tally cannot pass a lone mismatch
+    from b2dunkl import cli, spectra, verify
+    from b2dunkl.basis import BasisLabel
+    diagonal = BasisLabel(2, 0)
+
+    def off_by_one(label, params):
+        out = dict(spectra.predicted_k(label, params))
+        if label == diagonal:
+            out[diagonal] = out.get(diagonal, 0) + 1
+        return out
+
+    monkeypatch.setattr(verify, "predicted_k", off_by_one)
+    code = cli.main(["verify", "--suite", "k", "--max-degree", "4"], env={})
+    assert code == 1
+    (suite,) = json.loads(capsys.readouterr().out)["suites"]
+    failed = [c for c in suite["cases"] if c["status"] != "pass"]
+    assert [c["name"] for c in failed] == ["table-level-02"]
+    assert failed[0]["detail"].startswith("1/3 entries failed")
