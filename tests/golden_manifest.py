@@ -23,7 +23,7 @@ import io
 import json
 import os
 import sys
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 from b2dunkl import cli
 from b2dunkl.kernel import IDENTITY_NAMES
@@ -47,15 +47,6 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def run(argv: Sequence[str]) -> Tuple[int, str, str]:
-    """Run one command in-process with an empty environment; returns its
-    exit code and the SHA-256 of its stdout and of its stderr."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = cli.main(list(argv), env={})
-    return rc, _sha(out.getvalue()), _sha(err.getvalue())
-
-
 def _table_sweep() -> List[List[str]]:
     sys.path.insert(0, BENCH)
     try:
@@ -77,9 +68,14 @@ def commands() -> List[List[str]]:
 
 
 def entry(argv: Sequence[str]) -> dict:
-    rc, out, err = run(argv)
-    return {"argv": list(argv), "rc": rc, "stdout_sha256": out,
-            "stderr_sha256": err}
+    """Run one command in-process with an empty environment; returns its
+    manifest entry."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(list(argv), env={})
+    return {"argv": list(argv), "rc": rc,
+            "stdout_sha256": _sha(out.getvalue()),
+            "stderr_sha256": _sha(err.getvalue())}
 
 
 def load() -> List[dict]:
