@@ -3,7 +3,10 @@ for a fixed set of `b2dunkl` commands.
 
 `tests/golden_manifest.json` pins the byte output of the verification
 suites, the 19 catalogued proofs, the benchmark's table-sweep command
-lines of seeds 1-3 and two JSON operator commands.  A refactor that must
+lines of seeds 1-3, JSON operator commands, every CSV output, each form
+of `prove --identity`, the configuration errors that exit 2 and two
+settings read from the environment.  An entry may carry an ``env`` dict,
+the environment its command runs with (empty when absent).  A refactor that must
 keep outputs byte-identical regenerates nothing: `tests/test_golden.py`
 replays the committed manifest.  Regenerate it only when an output is
 meant to change:
@@ -23,7 +26,8 @@ import io
 import json
 import os
 import sys
-from typing import List, Sequence
+from typing import List, Optional, Sequence
+from unittest import mock
 
 from b2dunkl import cli
 from b2dunkl.kernel import IDENTITY_NAMES
@@ -41,6 +45,14 @@ JSON_SUM_OP = {"op": "sum", "parts": [
 JSON_COMMUTATOR = {"lhs": {"op": "commutator",
                            "a": {"op": "named", "name": "J2"},
                            "b": {"op": "named", "name": "Khat"}}}
+# a bare expression, proved equal to zero
+JSON_BARE = {"op": "commutator", "a": {"op": "named", "name": "Hcal"},
+             "b": {"op": "named", "name": "J"}}
+JSON_LHS_RHS = {"lhs": {"op": "sum", "parts": [
+    {"op": "named", "name": "H_0"}, {"op": "named", "name": "H_2"}]},
+    "rhs": {"op": "named", "name": "Hcal"}}
+NEGATIVE_EXPONENT = {"vars": ["z"], "terms": [
+    {"exp": [-1], "re": "1/1", "im": "0/1"}]}
 
 
 def _sha(text: str) -> str:
@@ -64,18 +76,59 @@ def commands() -> List[List[str]]:
             + _table_sweep()
             + [["apply", "--op", json.dumps(JSON_SUM_OP), "--label", "3,1"],
                ["prove", "--format", "json", "--identity",
-                json.dumps(JSON_COMMUTATOR)]])
+                json.dumps(JSON_COMMUTATOR)]]
+            # CSV output
+            + [["basis", "--degree", "3", "--format", "csv"]]
+            + [["table", which, "--degree", "4", "--format", "csv"]
+               for which in ("h0", "k", "j2", "norms")]
+            + [["verify", "--suite", "eigen,k", "--max-degree", "3",
+                "--format", "csv"],
+               ["prove", "--identity", "angular-quartic", "--format", "csv"],
+               ["prove", "--list"]]
+            # each form of --identity
+            + [["prove", "--format", "json", "--identity",
+                "component-sum-02"],
+               ["prove", "--identity", json.dumps(JSON_BARE)],
+               ["prove", "--format", "json", "--identity",
+                json.dumps(JSON_LHS_RHS)]]
+            # configuration errors: exit 2
+            + [["verify", "--suite", "eigen", "--k0", "0", "--k1", "0",
+                "--max-degree", "4"],
+               ["verify", "--suite", "all", "--k0", "1/4", "--k1", "3/4",
+                "--max-degree", "4"],
+               ["verify", "--suite", "nope"],
+               ["table", "k", "--k0", "0.5"],
+               ["prove"],
+               ["prove", "--identity", "[1]"],
+               ["apply", "--op", "T", "--poly",
+                json.dumps(NEGATIVE_EXPONENT)]])
 
 
-def entry(argv: Sequence[str]) -> dict:
-    """Run one command in-process with an empty environment; returns its
-    manifest entry."""
+# commands run with settings from the environment: (env, argv)
+ENV_COMMANDS = (
+    ({"B2DUNKL_SUITE": "eigen"}, ["verify", "--max-degree", "2"]),
+    ({"B2DUNKL_MAX_DEGREE": "-1"}, ["basis"]),
+)
+
+
+def entry(argv: Sequence[str], env: Optional[dict] = None) -> dict:
+    """Run one command in-process, with an empty environment unless `env`
+    is given; returns its manifest entry.  An argparse error exits through
+    SystemExit, whose code is recorded as the exit code; its usage text is
+    wrapped at a fixed width, whatever the terminal."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = cli.main(list(argv), env={})
-    return {"argv": list(argv), "rc": rc,
-            "stdout_sha256": _sha(out.getvalue()),
-            "stderr_sha256": _sha(err.getvalue())}
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        try:
+            rc = cli.main(list(argv), env=dict(env or {}))
+        except SystemExit as exc:
+            rc = exc.code
+    got = {"argv": list(argv), "rc": rc,
+           "stdout_sha256": _sha(out.getvalue()),
+           "stderr_sha256": _sha(err.getvalue())}
+    if env:
+        got["env"] = dict(env)
+    return got
 
 
 def load() -> List[dict]:
@@ -90,7 +143,8 @@ def main() -> int:
     if not parser.parse_args().write:
         parser.error("nothing to do; pass --write to regenerate "
                      "(tests/test_golden.py replays the manifest)")
-    entries = [entry(argv) for argv in commands()]
+    entries = ([entry(argv) for argv in commands()]
+               + [entry(argv, env) for env, argv in ENV_COMMANDS])
     with open(MANIFEST, "w", encoding="utf-8") as fh:
         json.dump({"commands": entries}, fh, indent=1)
         fh.write("\n")

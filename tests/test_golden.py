@@ -6,10 +6,10 @@ import golden_manifest
 
 def test_golden_manifest_replays_byte_identically():
     entries = golden_manifest.load()
-    assert len(entries) == 107
+    assert len(entries) == 127
     changed = []
     for want in entries:
-        got = golden_manifest.entry(want["argv"])
+        got = golden_manifest.entry(want["argv"], want.get("env"))
         if got != want:
             changed.append(" ".join(want["argv"])[:120])
     assert not changed, f"{len(changed)} commands changed: {changed}"
