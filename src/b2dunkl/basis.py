@@ -35,7 +35,6 @@ from .scalars import QI
 HALF = Fraction(1, 2)
 
 EVEN_FAMILIES = ("E0", "E1", "E2", "E3")
-ODD_FAMILIES = ("O1", "O3", "O1R", "O3R")
 
 
 def pochhammer(a, n: int):
@@ -86,10 +85,6 @@ class BasisLabel:
     @property
     def degree(self) -> int:
         return self.a + self.b
-
-    @property
-    def reversed(self) -> bool:
-        return self.a < self.b
 
     def classify(self) -> Tuple[str, int, int]:
         """(family, tower index n, chain position j)."""

@@ -5,10 +5,10 @@ All output is deterministic: rationals are rendered as "p/q" strings, no
 timestamps or environment data appear, and repeated runs with the same
 configuration produce byte-identical bytes.  Exit codes: 0 when everything
 requested checks out, 1 when a verification or proof fails, 2 for
-configuration errors (bad flags, bad rationals, non-generic parameters),
-3 for an internal arithmetic error (a division by zero, or an exact
-division that left a remainder), which is a fault of the program and not
-a verdict.
+configuration errors (bad flags, bad rationals, non-generic parameters,
+input nested too deeply), 3 for an internal arithmetic error (a division
+by zero, or an exact division that left a remainder), which is a fault of
+the program and not a verdict.
 
 Every flag can also be set through an environment variable with the
 ``B2DUNKL_`` prefix (``B2DUNKL_K0``, ``B2DUNKL_MAX_DEGREE``, ...); explicit
@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from .basis import energy, enumerate_basis, isotype, psi, rho1_eigenvalue
-from .kernel import IDENTITY_NAMES, get_identity, prove, prove_named
+from .kernel import IDENTITY_NAMES, ZERO_OP, get_identity, prove
 from .operators import apply as op_apply
 from .operators import expr_from_json, named, OPERATOR_NAMES
 from .params import DEFAULT_PARAMS, Params
@@ -38,8 +38,6 @@ from .spectra import (h0_table, j2_table, k_table, label_str, norm_table,
 from .verify import SUITE_ORDER, run_suites
 
 _ENV_PREFIX = "B2DUNKL_"
-
-_ISOTYPE_NAMES = {0: "chi0", 1: "chi1", 2: "chi2", 3: "chi3"}
 
 
 class ConfigError(Exception):
@@ -178,7 +176,7 @@ def _cmd_basis(args) -> int:
             states.append({
                 "label": label_str(lb),
                 "family": lb.family,
-                "isotype": _ISOTYPE_NAMES.get(iso, "plane"),
+                "isotype": "plane" if iso is None else f"chi{iso}",
                 "rotation_phase": str(rho1_eigenvalue(lb)),
                 "polynomial": psi(lb, params).to_json_dict(),
             })
@@ -285,10 +283,10 @@ def _identity_from_arg(text: str):
         if "lhs" in obj:
             lhs = expr_from_json(obj["lhs"])
             rhs_obj = obj.get("rhs")
-            rhs = expr_from_json(rhs_obj) if rhs_obj is not None else None
+            rhs = expr_from_json(rhs_obj) if rhs_obj is not None else ZERO_OP
         else:
             lhs = expr_from_json(obj)
-            rhs = None
+            rhs = ZERO_OP
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad identity JSON: {exc}") from None
     return None, lhs, rhs
@@ -301,12 +299,7 @@ def _cmd_prove(args) -> int:
     if args.identity is None:
         raise ConfigError("prove needs --identity (or --list)")
     name, lhs, rhs = _identity_from_arg(args.identity)
-    if name is not None:
-        result = prove_named(name)
-    elif rhs is not None:
-        result = prove(lhs, rhs)
-    else:
-        result = prove(lhs)
+    result = prove(lhs, rhs, name=name)
     if args.format == "csv":
         rows = [["identity", "status"],
                 [name or "<expression>", result.status]]
@@ -378,6 +371,10 @@ def main(argv: Optional[Sequence[str]] = None,
     except (ConfigError, ValueError, KeyError) as exc:
         msg = exc.args[0] if exc.args else str(exc)
         print(f"b2dunkl: error: {msg}", file=sys.stderr)
+        return 2
+    except RecursionError as exc:
+        print(f"b2dunkl: error: input nested too deeply ({exc})",
+              file=sys.stderr)
         return 2
     except ArithmeticError as exc:
         print(f"b2dunkl: internal error: {type(exc).__name__}: {exc}",

@@ -55,10 +55,6 @@ _UB = MPoly.var("ub")
 _W = MPoly.var("w")
 
 
-def _elem_key(g: GroupElem):
-    return (g.refl, g.k)
-
-
 class KernelState:
     """Group-indexed family of amplitudes; zero amplitudes are dropped.
     Do not mutate ``parts``: the seed state and memoised images are shared
@@ -70,8 +66,6 @@ class KernelState:
         clean: Dict[GroupElem, MPoly] = {}
         if parts:
             for g, p in parts.items():
-                if not isinstance(p, MPoly):
-                    p = MPoly.const(p)
                 if not p.is_zero():
                     clean[g] = p
         object.__setattr__(self, "parts", clean)
@@ -83,7 +77,8 @@ class KernelState:
         return not self.parts
 
     def items(self) -> Iterable[Tuple[GroupElem, MPoly]]:
-        return sorted(self.parts.items(), key=lambda kv: _elem_key(kv[0]))
+        # keys are distinct, so GroupElem's (refl, k) order decides
+        return sorted(self.parts.items())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, KernelState):

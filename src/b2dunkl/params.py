@@ -2,8 +2,8 @@
 
 Parameters are either all numeric (exact rationals) or all symbolic, in which
 case they enter polynomials as the variables ``k0``, ``k1``, ``w``.  Numeric
-parameters must be generic for the degrees being processed: the recurring
-denominators ``2n + k0 + k1 + r`` must not vanish, otherwise basis functions
+parameters must be generic: k0 + k1 must not be 0 or 1, otherwise one of the
+recurring denominators ``2n + k0 + k1 + r`` vanishes, basis functions
 degenerate and coefficient tables lose meaning.
 """
 
@@ -44,8 +44,6 @@ class Params:
         object.__setattr__(self, "_hash", hash(key))
 
     def __eq__(self, other) -> bool:
-        if self is other:
-            return True
         if not isinstance(other, Params):
             return NotImplemented
         return self._key == other._key
@@ -96,12 +94,9 @@ class Params:
         """No vanishing structural denominator up to the given degree."""
         if self.is_symbolic:
             return True
-        total = self.k0 + self.k1
-        for n in range(max_degree // 4 + 2):
-            for r in (-1, 0, 1, 2, 3):
-                if 2 * n + total + r == 0:
-                    return False
-        return True
+        # couplings are nonnegative, so 2n + k0 + k1 + r (r >= -1) can only
+        # vanish at n = 0 with r in {-1, 0}
+        return self.k0 + self.k1 not in (0, 1)
 
     def require_generic(self, max_degree: int) -> None:
         if not self.is_generic(max_degree):

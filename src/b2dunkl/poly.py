@@ -11,8 +11,11 @@ those variables only.
 
 Coefficients are :class:`~b2dunkl.scalars.QI`.  All operations are exact.
 ``divide_linear`` performs the exact division by a homogeneous linear form
-(the reflection lines ``z - i^j zb``) on which the difference part of the
-Dunkl operators rests; it raises if the division leaves a remainder.
+(the reflection lines ``z - i^j zb``) and raises if it leaves a remainder.
+The Dunkl operators do not divide: their difference parts come from the
+closed-form quotients of ``operators._quotient_terms``.  The division is
+their test oracle, the mirror factors of the ``weighted`` identity use it,
+and the benchmark times it.
 """
 
 from __future__ import annotations

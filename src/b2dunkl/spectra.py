@@ -25,16 +25,6 @@ from .params import Params
 from .poly import MPoly
 from .scalars import QI, format_rat
 
-__all__ = [
-    "NotInSpanError", "expand", "CoeffTable", "h0_table", "k_table",
-    "j2_table", "norm_table", "predicted_h0", "predicted_k",
-    "h0_shifted_expansion", "khat_expansion", "khat_image", "label_str",
-    "parse_label",
-    "adjudicate_mirror_diagonals", "MIRROR_DIAG_VARIANTS",
-    "E1_DIAG_VARIANT", "E2_DIAG_VARIANT",
-]
-
-
 def label_str(label: BasisLabel) -> str:
     return f"{label.a},{label.b}"
 
@@ -137,9 +127,6 @@ class CoeffTable:
     degree: int
     params: Params
     entries: Dict[BasisLabel, Dict[BasisLabel, QI]]
-
-    def entry(self, source: BasisLabel, target: BasisLabel) -> QI:
-        return self.entries.get(source, {}).get(target, QI(0))
 
     def to_json_dict(self) -> dict:
         return {

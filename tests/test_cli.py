@@ -335,6 +335,26 @@ def test_apply_negative_exponent_exits_two(capsys):
     assert err.startswith("b2dunkl: error: ")
 
 
+def _nested_compose(depth):
+    return ('{"op": "compose", "parts": [' * depth
+            + '{"op": "named", "name": "T"}' + "]}" * depth)
+
+
+@pytest.mark.parametrize("argv", [
+    ["apply", "--op", "[" * 100_000, "--label", "1,0"],
+    ["apply", "--op", _nested_compose(3000), "--label", "1,0"],
+    ["prove", "--identity", '{"lhs": ' + _nested_compose(3000) + "}"],
+], ids=["apply-brackets", "apply-compose", "prove-compose"])
+def test_deeply_nested_input_exits_two(capsys, argv):
+    # exhausting the recursion limit is a configuration error, never the
+    # exit 1 of a mismatch or refutation
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("b2dunkl: error: input nested too deeply")
+
+
 def test_apply_requires_exactly_one_input(capsys):
     code, _, err = run(capsys, ["apply", "--op", "T"])
     assert code == 2

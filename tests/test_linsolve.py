@@ -26,6 +26,16 @@ def test_tall_system_consistency_check():
         solver.solve([2, 3, 4])
 
 
+def test_zero_first_pivot_replays_the_row_swap():
+    # the first column's pivot sits in row 1, so every solve replays a swap
+    solver = LinearSolver([[0, 1], [1, 0], [1, 1]])
+    assert solver.rank == 2
+    assert solver.solve([3, 2, 5]) == [QI(2), QI(3)]
+    assert solver.solve([QI(0, 1), 4, QI(4, 1)]) == [QI(4), QI(0, 1)]
+    with pytest.raises(NotInSpanError):
+        solver.solve([3, 2, 4])
+
+
 def test_inconsistent_raises():
     with pytest.raises(NotInSpanError):
         LinearSolver([[1], [1]]).solve([1, 2])

@@ -54,6 +54,29 @@ def test_genericity():
     assert not Params.numeric(0, 0, 1).is_generic(0)
 
 
+def _generic_by_search(params, max_degree):
+    # the search is_generic replaced: no structural denominator
+    # 2n + k0 + k1 + r, r in -1..3, vanishes for n <= max_degree // 4 + 1
+    total = params.k0 + params.k1
+    return all(2 * n + total + r != 0
+               for n in range(max_degree // 4 + 2)
+               for r in (-1, 0, 1, 2, 3))
+
+
+def test_genericity_matches_denominator_search():
+    # degrees from -4: below that the search ran no n at all and accepted
+    # every coupling, but no degree passed to is_generic is below -1
+    couplings = sorted({Q(p, q) for q in range(1, 5)
+                        for p in range(2 * q + 1)})
+    assert {Q(0), Q(1, 4), Q(1, 2), Q(3, 4), Q(1)} <= set(couplings)
+    for k0 in couplings:
+        for k1 in couplings:
+            pr = Params(k0, k1, Q(1))
+            for deg in range(-4, 41):
+                assert pr.is_generic(deg) == _generic_by_search(pr, deg), \
+                    (k0, k1, deg)
+
+
 def test_default_params_hashable_for_caching():
     assert hash(DEFAULT_PARAMS) == hash(Params.numeric("3/7", "5/11", "2/3"))
 

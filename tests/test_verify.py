@@ -4,9 +4,17 @@ import json
 
 import pytest
 
+from b2dunkl import spectra
+from b2dunkl.basis import (BasisLabel, group_action, j2_eigenvalue,
+                           norm_ratio, psi, rho1_eigenvalue)
+from b2dunkl.group import IDENTITY
 from b2dunkl.kernel import IDENTITY_NAMES, prove_named
+from b2dunkl.operators import apply_named
 from b2dunkl.params import DEFAULT_PARAMS, Params
+from b2dunkl.poly import MPoly
+from b2dunkl.scalars import QI
 from b2dunkl.verify import SUITE_ORDER, run_suite, run_suites
+from b2dunkl.weighted import verify_weighted_conjugation
 
 
 def test_suite_order_is_complete():
@@ -88,23 +96,102 @@ def test_kernel_and_superint_share_one_refutation(monkeypatch):
         assert memo == {}
 
 
-def test_one_wrong_prediction_fails_its_level(monkeypatch, capsys):
-    # fault injection: a single wrong entry of the k table must fail its
-    # level and the run, so the tally cannot pass a lone mismatch
-    from b2dunkl import cli, spectra, verify
-    from b2dunkl.basis import BasisLabel
-    diagonal = BasisLabel(2, 0)
+# fault injection: each fault makes exactly one item of each named case
+# wrong, through one name the suite looks up in `verify`, so a lone
+# mismatch must fail its case and the run
+_FAULT_LABEL = BasisLabel(2, 0)
 
-    def off_by_one(label, params):
-        out = dict(spectra.predicted_k(label, params))
-        if label == diagonal:
-            out[diagonal] = out.get(diagonal, 0) + 1
-        return out
 
-    monkeypatch.setattr(verify, "predicted_k", off_by_one)
-    code = cli.main(["verify", "--suite", "k", "--max-degree", "4"], env={})
+def _off_for_label(fn, fault):
+    """`fn`, with `fault` applied to its result for _FAULT_LABEL."""
+    def patched(label, *args):
+        out = fn(label, *args)
+        return fault(out, label, *args) if label == _FAULT_LABEL else out
+    return patched
+
+
+def _extra_diagonal(row, label, params):
+    return row + ((label, QI(1)),)
+
+
+def _off_prediction(row, label, params):
+    out = dict(row)
+    out[label] = out.get(label, 0) + 1
+    return out
+
+
+def _swapped_image(g, label):
+    img, phase = group_action(g, label)
+    return (img.swap(), phase) if g == IDENTITY and label == _FAULT_LABEL \
+        else (img, phase)
+
+
+def _hhat_off_on_khat_image(name, f, params):
+    out = apply_named(name, f, params)
+    if name == "Hhat" and f == spectra.khat_image(_FAULT_LABEL, params):
+        out = out + 1
+    return out
+
+
+def _norm_ratio_off_on_diagonal(j, k, params):
+    out = norm_ratio(j, k, params)
+    return 2 * out if j == k == _FAULT_LABEL else out
+
+
+def _conjugation_off_on_z_zb(mono):
+    return (mono != MPoly.var("z") * MPoly.var("zb")
+            and verify_weighted_conjugation(mono))
+
+
+FAULTS = {
+    "eigen": ("eigen", "psi",
+              _off_for_label(psi, lambda f, lb, pr: f + 1),
+              {"level-02": "1/3 states failed: 2,0"}),
+    "j2": ("j2", "j2_eigenvalue",
+           _off_for_label(j2_eigenvalue, lambda lam, lb, pr: lam + 1),
+           {"level-02": "1/3 states failed: 2,0"}),
+    "rho1": ("rho1", "rho1_eigenvalue",
+             _off_for_label(rho1_eigenvalue, lambda ph, lb: -ph),
+             {"level-02": "1/3 states failed: 2,0"}),
+    "h0": ("h0", "h0_shifted_expansion",
+           _off_for_label(spectra.h0_shifted_expansion, _extra_diagonal),
+           {"table-level-02": "1/3 entries failed: 2,0->2,0 computed 1/1 "
+                              "predicted 0/1",
+            "shift-removes-diagonal": "1/15 states failed: 2,0",
+            "entries-flip-chain-parity": "1/15 states failed: 2,0->2,0",
+            "opposite-component-reconstruction":
+                "1/15 states failed: 2,0"}),
+    "k-table": ("k", "predicted_k",
+                _off_for_label(spectra.predicted_k, _off_prediction),
+                {"table-level-02": "1/3 entries failed"}),
+    "k-closed-form": ("k", "khat_image",
+                      _off_for_label(spectra.khat_image,
+                                     lambda kf, lb, pr: kf + psi(lb, pr)),
+                      {"closed-form-on-basis": "1/15 states failed: 2,0"}),
+    "k-commutes": ("k", "apply_named", _hhat_off_on_khat_image,
+                   {"hamiltonian-commutes": "1/15 states failed: 2,0"}),
+    "k-equivariance": ("k", "group_action", _swapped_image,
+                       {"group-equivariance":
+                            "1/120 actions failed: 2,0 under rot0"}),
+    "cai": ("cai", "norm_ratio", _norm_ratio_off_on_diagonal,
+            {"norm-symmetry-quartic": "1/55 pairs failed: 2,0,2,0"}),
+    "appendixA": ("appendixA", "verify_weighted_conjugation",
+                  _conjugation_off_on_z_zb,
+                  {"degree-02": "1/3 monomials failed: z^1 zb^1"}),
+}
+
+
+@pytest.mark.parametrize("fault", list(FAULTS))
+def test_one_wrong_prediction_fails_its_level(fault, monkeypatch, capsys):
+    from b2dunkl import cli, verify
+    suite, name, patched, want = FAULTS[fault]
+    monkeypatch.setattr(verify, name, patched)
+    code = cli.main(["verify", "--suite", suite, "--max-degree", "4"],
+                    env={})
     assert code == 1
-    (suite,) = json.loads(capsys.readouterr().out)["suites"]
-    failed = [c for c in suite["cases"] if c["status"] != "pass"]
-    assert [c["name"] for c in failed] == ["table-level-02"]
-    assert failed[0]["detail"].startswith("1/3 entries failed")
+    (report,) = json.loads(capsys.readouterr().out)["suites"]
+    failed = {c["name"]: c["detail"] for c in report["cases"]
+              if c["status"] != "pass"}
+    assert sorted(failed) == sorted(want)
+    for case, prefix in want.items():
+        assert failed[case].startswith(prefix), (case, failed[case])
