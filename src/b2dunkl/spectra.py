@@ -25,6 +25,7 @@ from .params import Params
 from .poly import MPoly
 from .scalars import QI, format_rat
 
+
 def label_str(label: BasisLabel) -> str:
     return f"{label.a},{label.b}"
 

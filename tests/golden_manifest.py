@@ -6,10 +6,10 @@ suites, the 19 catalogued proofs, the benchmark's table-sweep command
 lines of seeds 1-3, JSON operator commands, every CSV output, each form
 of `prove --identity`, the configuration errors that exit 2 and two
 settings read from the environment.  An entry may carry an ``env`` dict,
-the environment its command runs with (empty when absent).  A refactor that must
-keep outputs byte-identical regenerates nothing: `tests/test_golden.py`
-replays the committed manifest.  Regenerate it only when an output is
-meant to change:
+the environment its command runs with (empty when absent).  A refactor
+that must keep outputs byte-identical regenerates nothing:
+`tests/test_golden.py` replays the committed manifest.  Regenerate it
+only when an output is meant to change:
 
     PYTHONPATH=src python tests/golden_manifest.py --write
 
@@ -120,14 +120,14 @@ def entry(argv: Sequence[str], env: Optional[dict] = None) -> dict:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             mock.patch.dict(os.environ, {"COLUMNS": "80"}):
         try:
-            rc = cli.main(list(argv), env=dict(env or {}))
+            rc = cli.main(list(argv), env=env or {})
         except SystemExit as exc:
             rc = exc.code
     got = {"argv": list(argv), "rc": rc,
            "stdout_sha256": _sha(out.getvalue()),
            "stderr_sha256": _sha(err.getvalue())}
     if env:
-        got["env"] = dict(env)
+        got["env"] = env
     return got
 
 
