@@ -4,8 +4,9 @@ for a fixed set of `b2dunkl` commands.
 `tests/golden_manifest.json` pins the byte output of the verification
 suites, the 19 catalogued proofs, the benchmark's table-sweep command
 lines of seeds 1-3, JSON operator commands, every CSV output, each form
-of `prove --identity`, the configuration errors that exit 2 and two
-settings read from the environment.  An entry may carry an ``env`` dict,
+of `prove --identity`, squared-norm tables up to degree 40, the default
+and comma-separated suite lists, the configuration errors that exit 2 and
+two settings read from the environment.  An entry may carry an ``env`` dict,
 the environment its command runs with (empty when absent).  A refactor
 that must keep outputs byte-identical regenerates nothing:
 `tests/test_golden.py` replays the committed manifest.  Regenerate it
@@ -51,6 +52,9 @@ JSON_BARE = {"op": "commutator", "a": {"op": "named", "name": "Hcal"},
 JSON_LHS_RHS = {"lhs": {"op": "sum", "parts": [
     {"op": "named", "name": "H_0"}, {"op": "named", "name": "H_2"}]},
     "rhs": {"op": "named", "name": "Hcal"}}
+# the high-height triple of ROADMAP's baseline
+HIGH_HEIGHT = ["--k0", "9973/10007", "--k1", "7919/8081",
+               "--omega", "4999/5003"]
 NEGATIVE_EXPONENT = {"vars": ["z"], "terms": [
     {"exp": [-1], "re": "1/1", "im": "0/1"}]}
 
@@ -91,6 +95,14 @@ def commands() -> List[List[str]]:
                ["prove", "--identity", json.dumps(JSON_BARE)],
                ["prove", "--format", "json", "--identity",
                 json.dumps(JSON_LHS_RHS)]]
+            # squared norms at high degree: numerators of 200+ digits
+            + [["table", "norms", "--degree", str(deg)] + HIGH_HEIGHT
+               for deg in (24, 40)]
+            + [["table", "norms", "--degree", "12", "--format", "csv"],
+               ["verify", "--suite", "cai", "--max-degree", "12"]]
+            # the default suite list, and an empty chunk in a suite list
+            + [["verify", "--max-degree", "1"],
+               ["verify", "--suite", ",eigen,", "--max-degree", "1"]]
             # configuration errors: exit 2
             + [["verify", "--suite", "eigen", "--k0", "0", "--k1", "0",
                 "--max-degree", "4"],
@@ -100,6 +112,7 @@ def commands() -> List[List[str]]:
                ["table", "k", "--k0", "0.5"],
                ["prove"],
                ["prove", "--identity", "[1]"],
+               ["prove", "--identity", '{"lhs": {"op": "nope"}}'],
                ["apply", "--op", "T", "--poly",
                 json.dumps(NEGATIVE_EXPONENT)]])
 
