@@ -223,53 +223,37 @@ def j2_eigenvalue(label: BasisLabel, params: Params) -> Fraction:
     return (d + params.gamma()) ** 2
 
 
-# ---- squared norms (always as exact ratios) -------------------------------
+# ---- squared norms, relative to psi(0, 0) = 1 ---------------------------
 
 
 def seed_norm_rel(label: BasisLabel, params: Params) -> Fraction:
     """Torus norm of the harmonic seed relative to the constant 1."""
     _require_numeric(params)
     family, n, _ = label.classify()
-    k0, k1 = params.k0, params.k1
-    tot = k0 + k1
-    ha, hb = k0 + HALF, k1 + HALF
+    tot = params.k0 + params.k1
+    ha, hb = params.k0 + HALF, params.k1 + HALF
+    # the Jacobi factor of every family; each family multiplies in its own
+    jacobi = (pochhammer(ha, n) * pochhammer(hb, n)
+              / (math.factorial(n) * pochhammer(tot + 1, n)))
     if family == "E0":
-        return (pochhammer(ha, n) * pochhammer(hb, n) * (tot + n)
-                / (math.factorial(n) * pochhammer(tot + 1, n)
-                   * (tot + 2 * n)))
+        # removable pole: 1 at n = 0, but 0/0 there when k0 + k1 = 0
+        return jacobi * (tot + n) / (tot + 2 * n)
     if family == "E3":
-        return (16 * pochhammer(ha, n) * pochhammer(hb, n)
-                / (math.factorial(n - 1) * pochhammer(tot + 1, n)
-                   * (tot + 2 * n)))
+        return jacobi * 16 * n / (tot + 2 * n)
     if family == "E1":
-        return (4 * pochhammer(ha, n) * pochhammer(hb, n + 1)
-                / (math.factorial(n) * pochhammer(tot + 1, n)
-                   * (tot + 2 * n + 1)))
+        return jacobi * 4 * (hb + n) / (tot + 2 * n + 1)
     if family == "E2":
-        return (4 * pochhammer(ha, n + 1) * pochhammer(hb, n)
-                / (math.factorial(n) * pochhammer(tot + 1, n)
-                   * (tot + 2 * n + 1)))
+        return jacobi * 4 * (ha + n) / (tot + 2 * n + 1)
     if family in ("O1", "O1R"):
-        return (pochhammer(ha, n) * pochhammer(hb, n)
-                / (math.factorial(n) * pochhammer(tot + 1, n)))
+        return jacobi
     # O3, O3R
-    return (4 * pochhammer(ha, n + 1) * pochhammer(hb, n + 1)
-            / (math.factorial(n) * pochhammer(tot + 1, n)))
+    return jacobi * 4 * (ha + n) * (hb + n)
 
 
-def norm_ratio(l1: BasisLabel, l2: BasisLabel, params: Params) -> Fraction:
-    """Exact ratio of squared wavefunction norms for equal total degree."""
+def norm(label: BasisLabel, params: Params) -> Fraction:
+    """Squared wavefunction norm relative to psi(0, 0) = 1."""
     _require_numeric(params)
-    if l1.degree != l2.degree:
-        raise ValueError("norm ratios are defined within one energy level")
-    gamma = params.gamma()
-    n = l1.degree
-    j1, j2 = l1.classify()[2], l2.classify()[2]
-    m1, m2 = n - j1, n - j2
-    if m1 >= m2:
-        gpoch = pochhammer(gamma + m2 + 1, m1 - m2)
-    else:
-        gpoch = 1 / pochhammer(gamma + m1 + 1, m2 - m1)
-    return (params.w ** (2 * (j1 - j2)) * gpoch
-            * Fraction(math.factorial(j2), math.factorial(j1))
-            * seed_norm_rel(l1, params) / seed_norm_rel(l2, params))
+    _, _, j = label.classify()
+    m = label.degree - j
+    return (params.w ** (2 * j) * pochhammer(params.gamma() + 1, m)
+            / math.factorial(j) * seed_norm_rel(label, params))

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -55,9 +56,14 @@ def _env(env, key: str, fallback):
     return env.get(_ENV_PREFIX + key, fallback)
 
 
+def _fixed_width(prog: str) -> argparse.HelpFormatter:
+    # usage and help text wrap at 78 columns, whatever the terminal
+    return argparse.HelpFormatter(prog, width=78)
+
+
 def _build_parser(env) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="b2dunkl",
+        prog="b2dunkl", formatter_class=_fixed_width,
         description="Exact tables, verification suites and identity proofs "
                     "for the square-symmetric Dunkl oscillator.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -83,17 +89,16 @@ def _build_parser(env) -> argparse.ArgumentParser:
     common.add_argument("--out", default=_env(env, "OUT", None),
                         help="write output to this path instead of stdout")
 
-    p = sub.add_parser("basis", parents=[common],
-                       help="list basis states up to a degree")
+    add_parser = functools.partial(sub.add_parser, parents=[common],
+                                   formatter_class=_fixed_width)
+    p = add_parser("basis", help="list basis states up to a degree")
     p.set_defaults(handler=_cmd_basis, default_degree=4)
 
-    p = sub.add_parser("table", parents=[common],
-                       help="one level of an exact coefficient table")
+    p = add_parser("table", help="one level of an exact coefficient table")
     p.add_argument("which", choices=("h0", "k", "j2", "norms"))
     p.set_defaults(handler=_cmd_table, default_degree=4)
 
-    p = sub.add_parser("verify", parents=[common],
-                       help="run verification suites")
+    p = add_parser("verify", help="run verification suites")
     p.add_argument("--suite", action="append",
                    default=None,
                    help="suite id or 'all'; repeat or comma-separate "
@@ -101,8 +106,7 @@ def _build_parser(env) -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_verify, default_degree=8,
                    env_suite=_env(env, "SUITE", None))
 
-    p = sub.add_parser("prove", parents=[common],
-                       help="prove or refute an operator identity")
+    p = add_parser("prove", help="prove or refute an operator identity")
     p.add_argument("--identity", default=None,
                    help="catalogued identity name, or a JSON object "
                         '{"lhs": expr, "rhs": expr}')
@@ -110,8 +114,7 @@ def _build_parser(env) -> argparse.ArgumentParser:
                    help="list catalogued identity names and exit")
     p.set_defaults(handler=_cmd_prove, default_degree=0)
 
-    p = sub.add_parser("apply", parents=[common],
-                       help="apply an operator to a polynomial or state")
+    p = add_parser("apply", help="apply an operator to a polynomial or state")
     p.add_argument("--op", required=True,
                    help="operator name or JSON expression")
     p.add_argument("--label", default=None,
@@ -168,30 +171,26 @@ def _cmd_basis(args) -> int:
     params = _params_from(args)
     degree = _degree_from(args)
     params.require_generic(degree)
+    as_csv = _format_from(args) == "csv"
+    keys = ("label", "family", "isotype", "rotation_phase")
+    rows = [["degree", *keys, "energy", "polynomial"]]
     levels = []
     for deg in range(degree + 1):
+        e = format_rat(energy(deg, params))
         states = []
         for lb in enumerate_basis(deg):
             iso = isotype(lb)
-            states.append({
-                "label": label_str(lb),
-                "family": lb.family,
-                "isotype": "plane" if iso is None else f"chi{iso}",
-                "rotation_phase": str(rho1_eigenvalue(lb)),
-                "polynomial": psi(lb, params).to_json_dict(),
-            })
-        levels.append({"degree": deg,
-                       "energy": format_rat(energy(deg, params)),
-                       "states": states})
-    if _format_from(args) == "csv":
-        rows = [["degree", "label", "family", "isotype", "rotation_phase",
-                 "energy", "polynomial"]]
-        for level in levels:
-            for st in level["states"]:
-                rows.append([str(level["degree"]), st["label"],
-                             st["family"], st["isotype"],
-                             st["rotation_phase"], level["energy"],
-                             str(psi(parse_label(st["label"]), params))])
+            fields = (label_str(lb), lb.family,
+                      "plane" if iso is None else f"chi{iso}",
+                      str(rho1_eigenvalue(lb)))
+            f = psi(lb, params)
+            if as_csv:
+                rows.append([str(deg), *fields, e, str(f)])
+            else:
+                states.append({**dict(zip(keys, fields)),
+                               "polynomial": f.to_json_dict()})
+        levels.append({"degree": deg, "energy": e, "states": states})
+    if as_csv:
         _emit_csv(rows, args)
     else:
         _emit_json({"command": "basis", "max_degree": degree,
@@ -205,10 +204,9 @@ def _cmd_table(args) -> int:
     if args.which == "norms":
         data = norm_table(degree, params)
         if _format_from(args) == "csv":
-            rows = [["label", "seed_norm_rel", "norm_ratio_to_head"]]
-            rows += [[r["label"], r["seed_norm_rel"],
-                      r["norm_ratio_to_head"]] for r in data["rows"]]
-            _emit_csv(rows, args)
+            rows = data["rows"]
+            _emit_csv([list(rows[0])] + [list(r.values()) for r in rows],
+                      args)
         else:
             _emit_json({"command": "table", "which": "norms", **data}, args)
         return 0

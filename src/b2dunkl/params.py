@@ -106,14 +106,10 @@ class Params:
                 "2n + k0 + k1 + r vanishes")
 
     def label(self) -> str:
-        if self.is_symbolic:
-            return "symbolic"
         return (f"k0={format_rat(self.k0)},k1={format_rat(self.k1)},"
                 f"w={format_rat(self.w)}")
 
     def to_json_dict(self) -> dict:
-        if self.is_symbolic:
-            return {"symbolic": True}
         return {"k0": format_rat(self.k0), "k1": format_rat(self.k1),
                 "w": format_rat(self.w)}
 

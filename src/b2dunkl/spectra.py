@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
-from .basis import (BasisLabel, energy, enumerate_basis, norm_ratio, psi,
+from .basis import (BasisLabel, energy, enumerate_basis, norm, psi,
                     seed_norm_rel)
 from .linsolve import LinearSolver, NotInSpanError
 from .operators import apply_named
@@ -178,12 +178,13 @@ def norm_table(degree: int, params: Params) -> dict:
     """Exact squared-norm ratios within one level (head label as unit)."""
     params.require_generic(degree)
     head = BasisLabel(degree, 0)
+    head_norm = norm(head, params)
     rows = []
     for lb in enumerate_basis(degree):
         rows.append({
             "label": label_str(lb),
             "seed_norm_rel": format_rat(seed_norm_rel(lb, params)),
-            "norm_ratio_to_head": format_rat(norm_ratio(lb, head, params)),
+            "norm_ratio_to_head": format_rat(norm(lb, params) / head_norm),
         })
     return {"degree": degree, "params": params.to_json_dict(),
             "head": label_str(head), "rows": rows}

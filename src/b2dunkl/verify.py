@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Sequence
 
 from .basis import (BasisLabel, enumerate_basis, energy, group_action,
-                    j2_eigenvalue, norm_ratio, psi, rho1_eigenvalue)
+                    j2_eigenvalue, norm, psi, rho1_eigenvalue)
 from .group import ALL_ELEMENTS, act, elem_name, rotation
 from .kernel import IDENTITIES, IDENTITY_NAMES, image_scope, prove_named
 from .operators import apply_named
@@ -246,12 +246,13 @@ def _suite_cai(params: Params, max_degree: int) -> List[Case]:
         for deg in range(max_degree + 1):
             labels = enumerate_basis(deg)
             rows = {lb: dict(expansion(lb, params)) for lb in labels}
+            norms = {lb: norm(lb, params) for lb in labels}
             for j in labels:
                 for k in labels:
                     checked += 1
                     cjk = rows[j].get(k, QI(0))
                     ckj = rows[k].get(j, QI(0))
-                    if cjk != ckj.conj() * QI(norm_ratio(j, k, params)):
+                    if cjk != ckj.conj() * QI(norms[j] / norms[k]):
                         bad.append(f"{label_str(j)},{label_str(k)}")
         cases.append(_tally(f"norm-symmetry-{table_name}", bad, checked,
                             "pairs"))

@@ -28,7 +28,6 @@ import json
 import os
 import sys
 from typing import List, Optional, Sequence
-from unittest import mock
 
 from b2dunkl import cli
 from b2dunkl.kernel import IDENTITY_NAMES
@@ -127,11 +126,10 @@ ENV_COMMANDS = (
 def entry(argv: Sequence[str], env: Optional[dict] = None) -> dict:
     """Run one command in-process, with an empty environment unless `env`
     is given; returns its manifest entry.  An argparse error exits through
-    SystemExit, whose code is recorded as the exit code; its usage text is
-    wrapped at a fixed width, whatever the terminal."""
+    SystemExit, whose code is recorded as the exit code; the CLI wraps its
+    usage text at a fixed width, whatever the terminal."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-            mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             rc = cli.main(list(argv), env=env or {})
         except SystemExit as exc:

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import b2dunkl
 from b2dunkl.basis import (BasisLabel, energy, enumerate_basis, group_action,
-                           norm_ratio, psi)
+                           psi)
 from b2dunkl.group import ALL_ELEMENTS, act
 from b2dunkl.kernel import IDENTITIES, IDENTITY_NAMES, prove_named
 from b2dunkl.operators import apply_named
@@ -26,6 +26,7 @@ from b2dunkl.spectra import (E1_DIAG_VARIANT, E2_DIAG_VARIANT,
                              h0_shifted_expansion, khat_expansion, label_str,
                              predicted_h0, predicted_k)
 from b2dunkl.weighted import verify_weighted_conjugation
+from norm_oracle import norm_ratio
 
 
 def _report(num: int, ok: bool, detail: str = "") -> None:

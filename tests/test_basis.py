@@ -8,15 +8,16 @@ import pytest
 
 from b2dunkl.basis import (
     BasisLabel, energy, enumerate_basis, group_action, harmonic_seed,
-    isotype, j2_eigenvalue, jacobi_homogeneous, laguerre_coeffs, norm_ratio,
+    isotype, j2_eigenvalue, jacobi_homogeneous, laguerre_coeffs, norm,
     pochhammer, psi, rho1_eigenvalue, seed_norm_rel, sigma0_action,
 )
 from b2dunkl.group import ALL_ELEMENTS, act, reflection, rotation
 from b2dunkl.operators import apply_named
 from b2dunkl.params import DEFAULT_PARAMS as P
-from b2dunkl.params import Params
+from b2dunkl.params import EXTRA_PARAM_SETS, Params
 from b2dunkl.poly import MPoly
 from b2dunkl.scalars import QI
+import norm_oracle
 
 Z = MPoly.var("z")
 ZB = MPoly.var("zb")
@@ -350,19 +351,35 @@ def test_odd_seed_norms_decompose():
 
 
 def test_norm_ratios_consistent():
+    assert norm(BasisLabel(0, 0), P) == 1
     for deg in (4, 5):
-        labels = enumerate_basis(deg)
-        for l1 in labels:
-            assert norm_ratio(l1, l1, P) == 1
-            for l2 in labels:
-                r12 = norm_ratio(l1, l2, P)
-                assert r12 > 0
-                assert r12 * norm_ratio(l2, l1, P) == 1
-        for l1, l2, l3 in zip(labels, labels[1:], labels[2:]):
-            assert norm_ratio(l1, l2, P) * norm_ratio(l2, l3, P) == \
-                norm_ratio(l1, l3, P)
-    with pytest.raises(ValueError):
-        norm_ratio(BasisLabel(1, 0), BasisLabel(1, 1), P)
+        for label in enumerate_basis(deg):
+            assert norm(label, P) > 0
+
+
+# the four triples the norm formulas are checked on: the default, the two
+# extra ones and the high-height triple
+NORM_TRIPLES = (P,) + EXTRA_PARAM_SETS + (
+    Params.numeric(Q(9973, 10007), Q(7919, 8081), Q(4999, 5003)),)
+
+
+def test_factored_seed_norms_equal_family_products():
+    for params in NORM_TRIPLES:
+        for deg in range(41):
+            for label in enumerate_basis(deg):
+                assert seed_norm_rel(label, params) == \
+                    norm_oracle.seed_norm_rel(label, params), label
+
+
+def test_norm_quotients_equal_pairwise_ratios():
+    for params in NORM_TRIPLES:
+        for deg in range(17):
+            labels = enumerate_basis(deg)
+            norms = {lb: norm(lb, params) for lb in labels}
+            for l1 in labels:
+                for l2 in labels:
+                    assert norms[l1] / norms[l2] == \
+                        norm_oracle.norm_ratio(l1, l2, params), (l1, l2)
 
 
 def test_basis_requires_numeric_params():

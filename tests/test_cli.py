@@ -105,6 +105,23 @@ def test_bad_rational_flag_exits_two(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["table", "k", "--k0", "0.5"], ["verify", "--bogus"], ["apply"],
+    ["--help"], ["table", "--help"], ["nope"]])
+def test_usage_text_ignores_terminal_width(argv, monkeypatch, capsys):
+    seen = set()
+    for columns in ("40", "80", "200", None):
+        if columns is None:
+            monkeypatch.delenv("COLUMNS", raising=False)
+        else:
+            monkeypatch.setenv("COLUMNS", columns)
+        with pytest.raises(SystemExit):
+            main(argv, env={})
+        captured = capsys.readouterr()
+        seen.add((captured.out, captured.err))
+    assert len(seen) == 1
+
+
 def test_negative_coupling_exits_two(capsys):
     code, _, err = run(capsys, ["table", "k", "--degree", "1",
                                 "--k0=-1/2"])

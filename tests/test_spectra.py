@@ -6,7 +6,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from b2dunkl.basis import BasisLabel, enumerate_basis, norm_ratio, psi
+from b2dunkl.basis import BasisLabel, enumerate_basis, psi
 from b2dunkl.operators import apply_named
 from b2dunkl.params import DEFAULT_PARAMS as P
 from b2dunkl.params import EXTRA_PARAM_SETS
@@ -17,6 +17,7 @@ from b2dunkl.spectra import (
     h0_table, j2_table, k_table, khat_expansion, label_str, norm_table,
     parse_label, predicted_h0, predicted_k,
 )
+from norm_oracle import norm_ratio
 
 P2 = EXTRA_PARAM_SETS[0]
 
