@@ -6,8 +6,11 @@ suites, the 19 catalogued proofs, the benchmark's table-sweep command
 lines of seeds 1-3, JSON operator commands, every CSV output, each form
 of `prove --identity`, squared-norm tables up to degree 40, the default
 and comma-separated suite lists, the configuration errors that exit 2 and
-two settings read from the environment.  An entry may carry an ``env`` dict,
-the environment its command runs with (empty when absent).  A refactor
+two settings read from the environment.  It also pins the hatted
+components Hhat_1 and Hhat_3, which no suite applies, a hatted operator on
+a polynomial with spectator variables, and a table value above 10^30.  An
+entry may carry an ``env`` dict, the environment its command runs with
+(empty when absent).  A refactor
 that must keep outputs byte-identical regenerates nothing:
 `tests/test_golden.py` replays the committed manifest.  Regenerate it
 only when an output is meant to change:
@@ -56,6 +59,10 @@ HIGH_HEIGHT = ["--k0", "9973/10007", "--k1", "7919/8081",
                "--omega", "4999/5003"]
 NEGATIVE_EXPONENT = {"vars": ["z"], "terms": [
     {"exp": [-1], "re": "1/1", "im": "0/1"}]}
+# spectator variables u, k0, which every Dunkl step treats as constants
+SPECTATOR_POLY = {"vars": ["z", "zb", "u", "k0"], "terms": [
+    {"exp": [3, 1, 1, 0], "re": "2/3", "im": "-1/5"},
+    {"exp": [0, 2, 0, 1], "re": "7/1", "im": "0/1"}]}
 
 
 def _sha(text: str) -> str:
@@ -99,6 +106,15 @@ def commands() -> List[List[str]]:
                for deg in (24, 40)]
             + [["table", "norms", "--degree", "12", "--format", "csv"],
                ["verify", "--suite", "cai", "--max-degree", "12"]]
+            # hatted components no suite applies, a polynomial with
+            # spectators, and a table value of about 8.5e32
+            + [["apply", "--op", "Hhat_1", "--label", "5,2", "--expand"]
+               + HIGH_HEIGHT,
+               ["apply", "--op", "Hhat_3", "--label", "2,5", "--expand"]
+               + HIGH_HEIGHT,
+               ["apply", "--op", "Khat", "--poly",
+                json.dumps(SPECTATOR_POLY)],
+               ["table", "k", "--degree", "4", "--omega", "100000000"]]
             # the default suite list, and an empty chunk in a suite list
             + [["verify", "--max-degree", "1"],
                ["verify", "--suite", ",eigen,", "--max-degree", "1"]]
