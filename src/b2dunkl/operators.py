@@ -9,10 +9,10 @@ the prover's per-line quotients (`monomial_quotients`) are memoised per
 monomial from it (Dunkl, Trans. AMS 311 (1989)).  Everything
 else (Hamiltonians, angular momentum, ladder operators, the fourth-order
 invariant) is a tree of sums, compositions, multiplication operators and
-group elements over those two generators.  The fourth-order invariants K
-and Khat, defined in the paper as sum_j (-1)^j H_j^2 and
-sum_j (-1)^j Hhat_j^2, are built as the equal sums of two squares
-A^2 + B^2 and Ahat^2 + Bhat^2, which take far fewer Dunkl steps.
+group elements over those two generators.  The fourth-order invariant K,
+defined in the paper as sum_j (-1)^j H_j^2, is built as the equal sum of
+two squares A^2 + B^2, which takes far fewer Dunkl steps.  Each hatted
+operator is its twin conjugated by the invariant Gaussian (`_hat`).
 
 Operator trees are parameter-free: coupling and frequency appear inside
 multiplication coefficients as the variables k0, k1, w.  The instantiated
@@ -224,10 +224,10 @@ def visit(expr: Expr, x, params: Params, recurse, memo: dict):
     looked up in `memo` under (id(expr), params) and then id(x), and
     recursed into only on a miss.  Each image holds x, so its id stays
     valid; registry trees live as long as the module.  So every registry
-    operator acts once per input within one memo: in Khat = Ahat^2 + Bhat^2
-    the parts 2T^2 and -w zb T of Ahat share Tx, one application of Ahat or
-    Bhat takes three Dunkl steps and Khat twelve, and K = A^2 + B^2 takes
-    eight.  No other node is memoised.
+    operator acts once per input within one memo: in H_j the parts T Tb and
+    Tb^2 share Tb x, and H_j takes five Dunkl steps.  K = A^2 + B^2 takes
+    eight, two per application of A or B, and each hatted operator as many
+    as its twin.  No other node is memoised.
     """
     if id(expr) not in _REGISTRY_IDS:
         return recurse(expr, x, params, memo)
@@ -276,17 +276,6 @@ def _raise(j: int) -> Expr:
     return Sum((Mul(QI.i_power(-j) * _W * ell(j)), _lower(j)))
 
 
-def _hhat_component(j: int) -> Expr:
-    d = _lower(j)
-    return Sum((
-        _scaled(QI.i_power(j), T, T),
-        _scaled(-2, T, TB),
-        _scaled(QI.i_power(-j), TB, TB),
-        _scaled(Fraction(1, 2), Compose((Mul(_W * ell(j)), d))),
-        _scaled(Fraction(1, 2), Compose((d, Mul(_W * ell(j))))),
-    ))
-
-
 def _h_component(j: int) -> Expr:
     lj = ell(j)
     return Sum((
@@ -294,18 +283,6 @@ def _h_component(j: int) -> Expr:
         _scaled(QI.i_power(j), T, T),
         _scaled(-2, T, TB),
         _scaled(QI.i_power(-j), TB, TB),
-    ))
-
-
-def _hhat() -> Expr:
-    return Sum((
-        _scaled(-4, T, TB),
-        Compose((Mul(_W), Sum((
-            Compose((Mul(_Z), T)),
-            Compose((T, Mul(_Z))),
-            Compose((Mul(_ZB), TB)),
-            Compose((TB, Mul(_ZB))),
-        )))),
     ))
 
 
@@ -325,12 +302,22 @@ def _quartic() -> Expr:
         Sum((_scaled(2, TB, TB), Mul(Fraction(-1, 2) * _W * _W * _Z * _Z))))
 
 
-def _quartic_hat() -> Expr:
-    # the same split of Hhat_j, with P = T^2 - w (zb T + T zb)/2
-    def half(d: Dunkl, x: MPoly) -> Expr:
-        return Sum((_scaled(2, d, d), Compose((Mul(-_W * x), d)),
-                    Compose((Mul(-_W), d, Mul(x)))))
-    return _sum_of_squares(half(T, _ZB), half(TB, _Z))
+# the generators conjugated by the invariant Gaussian e^(-w z zb/2)
+_T_HAT = Sum((T, Mul(Fraction(-1, 2) * _W * _ZB)))
+_TB_HAT = Sum((TB, Mul(Fraction(-1, 2) * _W * _Z)))
+
+
+def _hat(expr: Expr) -> Expr:
+    """`expr` conjugated by the invariant Gaussian e^(-w z zb/2), acting on
+    the polynomial parts p of wavefunctions p e^(-w z zb/2): T, Tb become
+    T - w zb/2, Tb - w z/2, and `Mul` and `GroupOp` nodes commute with it."""
+    if isinstance(expr, Dunkl):
+        return _T_HAT if expr.var == "z" else _TB_HAT
+    if isinstance(expr, (Mul, GroupOp)):
+        return expr
+    if isinstance(expr, (Sum, Compose)):
+        return type(expr)(tuple(map(_hat, expr.parts)))
+    raise TypeError(f"cannot conjugate {expr!r}")
 
 
 def _central() -> Expr:
@@ -346,17 +333,17 @@ def _build_registry() -> Dict[str, Expr]:
         "DeltaKappa": _scaled(4, T, TB),
         "J": _angular(),
         "J2": Compose((_angular(), _angular())),
-        "Hhat": _hhat(),
         "Hcal": Sum((Mul(_W * _W * _Z * _ZB), _scaled(-4, T, TB))),
         "R": _central(),
     }
+    reg["Hhat"] = _hat(reg["Hcal"])
     for j in range(4):
-        reg[f"Hhat_{j}"] = _hhat_component(j)
         reg[f"H_{j}"] = _h_component(j)
+        reg[f"Hhat_{j}"] = _hat(reg[f"H_{j}"])
         reg[f"Lower_{j}"] = _lower(j)
         reg[f"Raise_{j}"] = _raise(j)
     reg["K"] = _quartic()
-    reg["Khat"] = _quartic_hat()
+    reg["Khat"] = _hat(reg["K"])
     return reg
 
 

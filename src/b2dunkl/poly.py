@@ -134,11 +134,6 @@ class MPoly:
             exp[_UNIVERSE_INDEX[name]] = e
         return self.terms.get(tuple(exp), QI(0))
 
-    def constant_value(self) -> QI:
-        if any(map(any, self.terms)):
-            raise ValueError("polynomial is not constant")
-        return self.terms.get(_CONST, QI(0))
-
     def sorted_terms(self):
         """Terms in the canonical graded order used for serialization, each
         exponent listed over ``vars``."""

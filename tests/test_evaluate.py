@@ -122,20 +122,40 @@ def test_quartic_shares_first_order_steps(monkeypatch):
 
 
 def test_quartic_hat_shares_first_order_steps(monkeypatch):
-    # Ahat = 2T^2 - w zb T - w T zb shares Tx between 2T^2 and w zb T, so
-    # each application takes three steps; the paper's form takes 41
+    # Khat is K with T -> T - w zb/2, Tb -> Tb - w z/2: one application of
+    # Ahat = 2(T - w zb/2)^2 - w^2 zb^2/2 takes two steps, as A does; the
+    # paper's form takes 41
     calls = _count_calls(monkeypatch, kernel, "_first_order")
     k_apply(named("Khat"), k_initial())
-    assert len(calls) == 12
+    assert len(calls) == 8
+
+
+def _dunkl_applications(calls, name):
+    """Dunkl applications of one numeric `apply` of `name` on z^3 zb^2,
+    whose image must equal the direct walk's."""
+    p = MPoly.var("z") ** 3 * MPoly.var("zb") ** 2
+    pr = Params.numeric("13/17", "19/23", "29/31")
+    calls.clear()
+    image = apply(named(name), p, pr)
+    assert image == direct_apply(named(name), p, pr)
+    return len(calls)
 
 
 def test_quartic_hat_numeric_dunkl_applications(monkeypatch):
+    # as many as K takes; the paper's form takes 41
     calls = _count_calls(monkeypatch, operators, "apply_dunkl")
-    p = MPoly.var("z") ** 3 * MPoly.var("zb") ** 2
-    pr = Params.numeric("13/17", "19/23", "29/31")
-    image = apply(named("Khat"), p, pr)
-    assert len(calls) == 12     # the paper's form takes 41
-    assert image == direct_apply(named("Khat"), p, pr)
+    assert _dunkl_applications(calls, "Khat") == 8
+    assert _dunkl_applications(calls, "K") == 8
+
+
+def test_hatted_hamiltonians_numeric_dunkl_applications(monkeypatch):
+    # each as many as its twin: Hhat and Hcal take two, Hhat_j and H_j
+    # five, since their parts T Tb and Tb^2 share Tb x
+    calls = _count_calls(monkeypatch, operators, "apply_dunkl")
+    for hat, twin, steps in ([("Hhat", "Hcal", 2)]
+                             + [(f"Hhat_{j}", f"H_{j}", 5) for j in range(4)]):
+        assert _dunkl_applications(calls, hat) == steps, hat
+        assert _dunkl_applications(calls, twin) == steps, twin
 
 
 JSON_SUM = {"op": "sum", "parts": [

@@ -4,11 +4,11 @@ identities that tie the named second- and fourth-order operators together."""
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from b2dunkl import operators
 from b2dunkl.group import (ALL_ELEMENTS, act, central_element_terms,
-                           elem_name, inv, reflection)
+                           elem_name, ell, inv, reflection)
 from b2dunkl.kernel import KernelState, k_apply, k_initial, prove
 from b2dunkl.operators import (
     Commutator, Compose, Dunkl, GroupOp, Mul, Sum, apply, apply_dunkl,
@@ -308,6 +308,72 @@ def test_two_square_form_matches_signature_form_on_prover_states():
         for name, paper in PAPER_FORMS.items():
             assert k_apply(named(name), state) == k_apply(paper, state), \
                 (name, state)
+
+
+# The hatted operators written out by hand, as the oracle for `_hat`: the
+# Gaussian conjugates of Hcal, H_j and K expanded with the commutators of
+# T, Tb with z, zb moved into symmetric products.
+W = MPoly.var("w")
+DT, DTB = operators.T, operators.TB
+
+
+def scaled(c, *parts):
+    return Compose((Mul(MPoly.const(c)),) + parts)
+
+
+def hand_hhat():
+    return Sum((
+        scaled(-4, DT, DTB),
+        Compose((Mul(W), Sum((
+            Compose((Mul(Z), DT)),
+            Compose((DT, Mul(Z))),
+            Compose((Mul(ZB), DTB)),
+            Compose((DTB, Mul(ZB))),
+        )))),
+    ))
+
+
+def hand_hhat_component(j):
+    lower = Sum((DT, scaled(-QI.i_power(-j), DTB)))
+    return Sum((
+        scaled(QI.i_power(j), DT, DT),
+        scaled(-2, DT, DTB),
+        scaled(QI.i_power(-j), DTB, DTB),
+        scaled(Q(1, 2), Compose((Mul(W * ell(j)), lower))),
+        scaled(Q(1, 2), Compose((lower, Mul(W * ell(j))))),
+    ))
+
+
+def hand_quartic_hat():
+    # Ahat^2 + Bhat^2 with Ahat = 2T^2 - w (zb T + T zb)
+    def half(d, x):
+        return Sum((scaled(2, d, d), Compose((Mul(-W * x), d)),
+                    Compose((Mul(-W), d, Mul(x)))))
+    a, b = half(DT, ZB), half(DTB, Z)
+    return Sum((Compose((a, a)), Compose((b, b))))
+
+
+HAND_FORMS = {"Hhat": hand_hhat(), "Khat": hand_quartic_hat(),
+              **{f"Hhat_{j}": hand_hhat_component(j) for j in range(4)}}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_FORMS))
+def test_hatted_operator_proven_equal_to_hand_form(name):
+    assert prove(named(name), HAND_FORMS[name]).proven
+
+
+@given(polys(("u",)), st.one_of(numeric_triples(), st.just(SYM)))
+@example(Z ** 3 * ZB ** 2 * MPoly.var("u") + 1, SYM)
+@settings(max_examples=25, deadline=None)
+def test_hatted_operators_match_hand_forms(p, params):
+    for name, hand in HAND_FORMS.items():
+        assert apply(named(name), p, params) == apply(hand, p, params), name
+
+
+def test_hat_rejects_commutator():
+    # a commutator passed through unchanged would keep T, Tb unconjugated
+    with pytest.raises(TypeError):
+        operators._hat(Commutator(named("T"), named("Tb")))
 
 
 def test_commutator_node():

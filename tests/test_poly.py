@@ -89,13 +89,6 @@ def test_subst_scalars_and_polys():
         (Z**2).subst({"z": MPoly.var("u") + 1})
 
 
-def test_constant_value():
-    assert MPoly.const(Q(2, 3)).constant_value() == QI(Q(2, 3))
-    assert MPoly.zero().constant_value() == QI(0)
-    with pytest.raises(ValueError):
-        Z.constant_value()
-
-
 def test_exact_division_by_reflection_lines():
     assert (Z**2 - ZB**2).divide_linear(Z - ZB) == Z + ZB
     # z^2 + zb^2 = (z - i zb)(z + i zb)

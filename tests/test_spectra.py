@@ -9,7 +9,7 @@ import pytest
 from b2dunkl.basis import BasisLabel, enumerate_basis, psi
 from b2dunkl.operators import apply_named
 from b2dunkl.params import DEFAULT_PARAMS as P
-from b2dunkl.params import EXTRA_PARAM_SETS
+from b2dunkl.params import EXTRA_PARAM_SETS, Params
 from b2dunkl.poly import MPoly
 from b2dunkl.scalars import QI
 from b2dunkl.spectra import (
@@ -46,6 +46,12 @@ def test_expand_rejects_outsiders():
     # right parity and degree but not an eigenspace element
     with pytest.raises(NotInSpanError):
         expand(z ** 2, 4, P)
+
+
+@pytest.mark.parametrize("predict", [predicted_h0, predicted_k])
+def test_predictions_reject_symbolic_params(predict):
+    with pytest.raises(ValueError, match="numeric parameters"):
+        predict(BasisLabel(2, 1), Params.symbolic())
 
 
 def test_h0_table_matches_closed_forms():
