@@ -290,16 +290,12 @@ def _angular() -> Expr:
     return Sum((Compose((Mul(_Z), T)), Compose((Mul(-_ZB), TB))))
 
 
-def _sum_of_squares(a: Expr, b: Expr) -> Expr:
-    return Sum((Compose((a, a)), Compose((b, b))))
-
-
 def _quartic() -> Expr:
     # H_j = i^j P + i^-j Q + R with P = T^2 - w^2 zb^2/4 and
     # Q = Tb^2 - w^2 z^2/4, so sum_j (-1)^j H_j^2 keeps only 4P^2 + 4Q^2
-    return _sum_of_squares(
-        Sum((_scaled(2, T, T), Mul(Fraction(-1, 2) * _W * _W * _ZB * _ZB))),
-        Sum((_scaled(2, TB, TB), Mul(Fraction(-1, 2) * _W * _W * _Z * _Z))))
+    a = Sum((_scaled(2, T, T), Mul(Fraction(-1, 2) * _W * _W * _ZB * _ZB)))
+    b = Sum((_scaled(2, TB, TB), Mul(Fraction(-1, 2) * _W * _W * _Z * _Z)))
+    return Sum((Compose((a, a)), Compose((b, b))))
 
 
 # the generators conjugated by the invariant Gaussian e^(-w z zb/2)
