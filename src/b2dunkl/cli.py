@@ -5,14 +5,18 @@ All output is deterministic: rationals are rendered as "p/q" strings, no
 timestamps or environment data appear, and repeated runs with the same
 configuration produce byte-identical bytes.  Exit codes: 0 when everything
 requested checks out, 1 when a verification or proof fails, 2 for
-configuration errors (bad flags, bad rationals, non-generic parameters,
-input nested too deeply), 3 for an internal arithmetic error (a division
-by zero, or an exact division that left a remainder), which is a fault of
+configuration errors (bad flags, bad rationals, malformed labels,
+non-generic parameters, input nested too deeply, an ``--out`` path that
+cannot be written), 3 for an internal arithmetic error (a division by
+zero, or an exact division that left a remainder), which is a fault of
 the program and not a verdict.
 
 Every flag can also be set through an environment variable with the
 ``B2DUNKL_`` prefix (``B2DUNKL_K0``, ``B2DUNKL_MAX_DEGREE``, ...); explicit
-flags win over the environment.
+flags win over the environment.  A process builds the argument parser
+once per set of ``B2DUNKL_`` values, on its first ``main`` call with that
+set, so a caller that runs many commands in one process does not rebuild
+it per command; the environment is read again on every call.
 """
 
 from __future__ import annotations
@@ -128,6 +132,14 @@ def _build_parser(env) -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=8)
+def _parser_for(env_items) -> argparse.ArgumentParser:
+    # argparse leaves a parser as it was while parsing (a fresh namespace,
+    # copied append defaults, formatters made per message), so one parser
+    # per set of B2DUNKL_ values serves every later call
+    return _build_parser(dict(env_items))
+
+
 def _params_from(args) -> Params:
     return Params.numeric(args.k0, args.k1, args.omega)
 
@@ -147,8 +159,12 @@ def _degree_from(args) -> int:
 
 def _emit(text: str, args) -> None:
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {args.out}: "
+                              f"{exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -362,7 +378,8 @@ def _cmd_apply(args) -> int:
 def main(argv: Optional[Sequence[str]] = None,
          env: Optional[dict] = None) -> int:
     env = os.environ if env is None else env
-    parser = _build_parser(env)
+    parser = _parser_for(tuple(sorted(
+        item for item in env.items() if item[0].startswith(_ENV_PREFIX))))
     args = parser.parse_args(argv)
     try:
         return args.handler(args)

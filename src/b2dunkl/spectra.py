@@ -31,8 +31,12 @@ def label_str(label: BasisLabel) -> str:
 
 
 def parse_label(text: str) -> BasisLabel:
-    a, b = text.split(",")
-    return BasisLabel(int(a), int(b))
+    try:
+        a, b = (int(part) for part in text.split(","))
+        return BasisLabel(a, b)
+    except ValueError:
+        raise ValueError(f"bad label {text!r}: expected 'a,b' with a and b "
+                         f"nonnegative integers") from None
 
 
 # ---- expansion in one energy level ---------------------------------------

@@ -153,6 +153,59 @@ def test_environment_change_between_calls_is_honoured(capsys, monkeypatch):
         assert blob["params"]["k0"] == k0
 
 
+def _outcome(capsys, argv, env):
+    try:
+        code = main(argv, env=env)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_shared_parser_gives_the_bytes_of_a_fresh_one(capsys, monkeypatch):
+    # one process runs the commands in order on the cached parsers; each
+    # gives the bytes of the same command on a parser built afresh
+    steps = [
+        (["verify", "--suite", "rho1", "--max-degree", "1"], {}),
+        (["verify", "--max-degree", "1"], {}),
+        (["table", "k", "--degree", "1", "--k0", "1/3"], {}),
+        (["table", "k", "--degree", "1"], {}),
+        (["table", "k", "--k0", "0.5"], {}),
+        (["--help"], {}),
+        (["basis", "--degree", "1"], {}),
+        (["verify", "--max-degree", "1"], {"B2DUNKL_SUITE": "rho1"}),
+        (["verify", "--max-degree", "1"], {"B2DUNKL_SUITE": "eigen"}),
+        (["table", "k", "--k0", "0.5"], {"COLUMNS": "40"}),
+        (["table", "k", "--k0", "0.5"], {"COLUMNS": "200"}),
+    ]
+
+    def replay(fresh):
+        outcomes, misses = [], []
+        for argv, env in steps:
+            # argparse reads COLUMNS from the process environment
+            monkeypatch.setenv("COLUMNS", env.get("COLUMNS", "80"))
+            if fresh:
+                cli._parser_for.cache_clear()
+            outcomes.append(_outcome(capsys, argv, env))
+            misses.append(cli._parser_for.cache_info().misses)
+        return outcomes, misses
+
+    cli._parser_for.cache_clear()
+    shared, misses = replay(fresh=False)
+    assert replay(fresh=True)[0] == shared
+    # COLUMNS is not part of the key: the last two commands share a parser
+    assert misses[-1] == misses[-2]
+    codes = [code for code, _, _ in shared]
+    assert codes == [0, 0, 0, 0, 2, 0, 0, 0, 0, 2, 2]
+    suites = [[s["suite"] for s in json.loads(shared[i][1])["suites"]]
+              for i in (0, 1, 7, 8)]
+    assert suites == [["rho1"], list(verify.SUITE_ORDER), ["rho1"],
+                      ["eigen"]]
+    k0 = [json.loads(shared[i][1])["params"]["k0"] for i in (2, 3)]
+    assert k0 == ["1/3", "3/7"]
+    assert shared[9] == shared[10]
+
+
 def test_verify_single_suite_passes(capsys):
     code, out, _ = run(capsys, ["verify", "--suite", "rho1",
                                 "--max-degree", "4"])
@@ -395,6 +448,25 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert out == ""
     blob = json.loads(target.read_text())
     assert blob["status"] == "pass"
+
+
+def test_unwritable_out_path_is_a_configuration_error(tmp_path, capsys):
+    # a failed write exits 2, not 1, which would read as a verdict
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run(capsys, ["table", "k", "--degree", "1",
+                                  "--out", str(target)])
+    assert (code, out) == (2, "")
+    assert err == (f"b2dunkl: error: cannot write {target}: "
+                   "No such file or directory\n")
+
+
+@pytest.mark.parametrize("label", ["3", "1,2,3", "1,x", "-1,2"])
+def test_malformed_label_names_the_expected_form(label, capsys):
+    code, out, err = run(capsys, ["apply", "--op", "Hhat",
+                                  f"--label={label}"])
+    assert (code, out) == (2, "")
+    assert err == (f"b2dunkl: error: bad label {label!r}: expected 'a,b' "
+                   "with a and b nonnegative integers\n")
 
 
 def test_apply_json_op_echoes_floats_it_ignores(capsys):
