@@ -99,6 +99,17 @@ _KAPPA_SPECTATORS = tuple(next(iter(Params.symbolic().kappa(j).terms))[2:]
                           for j in (0, 1))
 
 
+def _quotient_shape(var: str, a: int, b: int):
+    """(n, hi, lo, sign, shift) of the quotients of z^a zb^b, a != b: the
+    k-th term, k < n, sits at z^(hi-1-k) zb^(lo+k) with coefficient
+    sign kappa_j t^(k + shift), t = i^j."""
+    n = abs(a - b)
+    hi, lo, sign, shift = (a, b, 1, 0) if a > b else (b, a, -1, -n)
+    if var == "zb":
+        sign, shift = -sign, shift + 1      # times -i^j = -t
+    return n, hi, lo, sign, shift
+
+
 def _quotient_terms(var: str, a: int, b: int, params: Params):
     """Yield (j, terms) for each mirror line j on which the reflection
     quotient kappa_j (m - s_j m) / ell_j of m = z^a zb^b is nonzero, times
@@ -111,10 +122,7 @@ def _quotient_terms(var: str, a: int, b: int, params: Params):
     """
     if a == b:
         return
-    n = abs(a - b)
-    hi, lo, sign, shift = (a, b, 1, 0) if a > b else (b, a, -1, -n)
-    if var == "zb":
-        sign, shift = -sign, shift + 1      # times -i^j = -t
+    n, hi, lo, sign, shift = _quotient_shape(var, a, b)
     for j in range(4):
         if params.is_symbolic:
             kappa, rest = QI(sign), _KAPPA_SPECTATORS[j % 2]
@@ -139,14 +147,32 @@ def monomial_quotients(var: str, a: int, b: int,
 @lru_cache(maxsize=None)
 def _monomial_image(var: str, a: int, b: int, params: Params) -> Terms:
     """Terms of the Dunkl image of z^a zb^b: the derivative plus the
-    summed reflection quotients."""
+    reflection quotients summed over the four mirror lines.
+
+    Lines j and j + 2 share kappa_j, and t_(j+2) = -t_j, so in the sum of
+    the `_quotient_terms` the k-th term survives only when r = k + shift is
+    even, with coefficient 2 sign (kappa_0 + (-1)^(r/2) kappa_1).
+    """
     out: Dict[Exponent, QI] = {}
     e = a if var == "z" else b
     if e:
         exp = (a - 1, b) if var == "z" else (a, b - 1)
         out[exp + _NO_SPECTATORS] = QI(e)
-    for _, terms in _quotient_terms(var, a, b, params):
-        for exp, c in terms:
+    if a == b:
+        return tuple(out.items())
+    n, hi, lo, sign, shift = _quotient_shape(var, a, b)
+    two = QI(2 * sign)
+    if params.is_symbolic:
+        # (spectators, coefficient at r = 0 mod 4, at r = 2 mod 4)
+        parts = ((_KAPPA_SPECTATORS[0], two, two),
+                 (_KAPPA_SPECTATORS[1], two, -two))
+    else:
+        k0, k1 = QI.of(params.kappa(0)), QI.of(params.kappa(1))
+        parts = ((_NO_SPECTATORS, two * (k0 + k1), two * (k0 - k1)),)
+    for rest, plus, minus in parts:
+        for k in range(shift % 2, n, 2):
+            c = plus if (k + shift) % 4 == 0 else minus
+            exp = (hi - 1 - k, lo + k) + rest
             prev = out.get(exp)
             out[exp] = c + prev if prev is not None else c
     return tuple((exp, c) for exp, c in out.items() if c)
