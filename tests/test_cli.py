@@ -153,15 +153,6 @@ def test_environment_change_between_calls_is_honoured(capsys, monkeypatch):
         assert blob["params"]["k0"] == k0
 
 
-def _outcome(capsys, argv, env):
-    try:
-        code = main(argv, env=env)
-    except SystemExit as exc:
-        code = exc.code
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
 def test_shared_parser_gives_the_bytes_of_a_fresh_one(capsys, monkeypatch):
     # one process runs the commands in order on the cached parsers; each
     # gives the bytes of the same command on a parser built afresh
@@ -186,7 +177,12 @@ def test_shared_parser_gives_the_bytes_of_a_fresh_one(capsys, monkeypatch):
             monkeypatch.setenv("COLUMNS", env.get("COLUMNS", "80"))
             if fresh:
                 cli._parser_for.cache_clear()
-            outcomes.append(_outcome(capsys, argv, env))
+            try:
+                code = main(argv, env=env)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            outcomes.append((code, captured.out, captured.err))
             misses.append(cli._parser_for.cache_info().misses)
         return outcomes, misses
 
