@@ -22,7 +22,6 @@ expressions in the couplings.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import List, Optional, Tuple
@@ -30,6 +29,7 @@ from typing import List, Optional, Tuple
 from .group import GroupElem, act, reflection
 from .params import Params
 from .poly import MPoly
+from .record import Ordered
 from .scalars import QI
 
 HALF = Fraction(1, 2)
@@ -73,14 +73,15 @@ def jacobi_homogeneous(n: int, alpha: Fraction, beta: Fraction) -> MPoly:
     return acc
 
 
-@dataclass(frozen=True, order=True)
-class BasisLabel:
-    a: int
-    b: int
+class BasisLabel(Ordered):
+    __slots__ = ("a", "b")
 
-    def __post_init__(self):
-        if self.a < 0 or self.b < 0:
+    def __init__(self, a: int, b: int):
+        if a < 0 or b < 0:
             raise ValueError("label indices must be nonnegative")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        self._keep((a, b))
 
     @property
     def degree(self) -> int:

@@ -22,7 +22,6 @@ it per command; the environment is read again on every call.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import json
@@ -43,6 +42,9 @@ from .spectra import (h0_table, j2_table, k_table, label_str, norm_table,
 from .verify import SUITE_ORDER, run_suites
 
 _ENV_PREFIX = "B2DUNKL_"
+# the variables _build_parser reads, and so the key of its cache
+_ENV_NAMES = tuple(_ENV_PREFIX + key for key in (
+    "K0", "K1", "OMEGA", "MAX_DEGREE", "FORMAT", "OUT", "SUITE"))
 
 
 class ConfigError(Exception):
@@ -133,11 +135,13 @@ def _build_parser(env) -> argparse.ArgumentParser:
 
 
 @functools.lru_cache(maxsize=8)
-def _parser_for(env_items) -> argparse.ArgumentParser:
+def _parser_for(env_values) -> argparse.ArgumentParser:
     # argparse leaves a parser as it was while parsing (a fresh namespace,
     # copied append defaults, formatters made per message), so one parser
     # per set of B2DUNKL_ values serves every later call
-    return _build_parser(dict(env_items))
+    return _build_parser({name: value
+                          for name, value in zip(_ENV_NAMES, env_values)
+                          if value is not None})
 
 
 def _params_from(args) -> Params:
@@ -174,6 +178,7 @@ def _emit_json(obj, args) -> None:
 
 
 def _emit_csv(rows: Sequence[Sequence[str]], args) -> None:
+    import csv      # here, not at the top: no JSON command loads it
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerows(rows)
@@ -378,8 +383,7 @@ def _cmd_apply(args) -> int:
 def main(argv: Optional[Sequence[str]] = None,
          env: Optional[dict] = None) -> int:
     env = os.environ if env is None else env
-    parser = _parser_for(tuple(sorted(
-        item for item in env.items() if item[0].startswith(_ENV_PREFIX))))
+    parser = _parser_for(tuple([env.get(name) for name in _ENV_NAMES]))
     args = parser.parse_args(argv)
     try:
         return args.handler(args)

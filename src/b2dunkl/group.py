@@ -12,20 +12,21 @@ central element built from the couplings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Tuple
 
 from .poly import MPoly, from_terms
+from .record import Ordered
 from .scalars import QI
 
 
-@dataclass(frozen=True, order=True)
-class GroupElem:
-    refl: bool
-    k: int
+class GroupElem(Ordered):
+    __slots__ = ("refl", "k")
 
-    def __post_init__(self):
-        object.__setattr__(self, "k", self.k % 4)
+    def __init__(self, refl: bool, k: int):
+        k %= 4
+        object.__setattr__(self, "refl", refl)
+        object.__setattr__(self, "k", k)
+        self._keep((refl, k))
 
 
 def rotation(k: int) -> GroupElem:

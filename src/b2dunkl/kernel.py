@@ -35,7 +35,6 @@ outlives the call that filled it.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
@@ -47,6 +46,7 @@ from .operators import (Commutator, Compose, Expr, GroupOp, Mul, Sum,
                         visit)
 from .params import Params
 from .poly import Exponent, MPoly, from_terms
+from .record import Record
 from .scalars import QI
 
 _HALF = Fraction(1, 2)
@@ -210,19 +210,17 @@ def k_apply(expr: Expr, state: KernelState,
 ZERO_OP = Mul(MPoly.zero())
 
 
-@dataclass(frozen=True)
-class Identity:
-    name: str
-    lhs: Expr
-    rhs: Expr
-    provable: bool      # expected outcome on the seed state
+class Identity(Record):
+    # provable: the expected outcome on the seed state
+    __slots__ = ("name", "lhs", "rhs", "provable")
 
 
-@dataclass(frozen=True)
-class ProofResult:
-    proven: bool
-    residual: KernelState
-    name: Optional[str] = None
+class ProofResult(Record):
+    __slots__ = ("proven", "residual", "name")
+
+    def __init__(self, proven: bool, residual: KernelState,
+                 name: Optional[str] = None):
+        Record.__init__(self, proven, residual, name)
 
     @property
     def status(self) -> str:

@@ -30,65 +30,57 @@ for one `kernel.image_scope`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import add
 from typing import Dict, Tuple
 
-from .group import GroupElem, act, central_element_terms, ell, parse_elem
+from .group import act, central_element_terms, ell, parse_elem
 from .params import Params
 from .poly import UNIVERSE, Exponent, MPoly, from_terms
+from .record import Keyed, Record
 from .scalars import QI
 
 
-class Expr:
-    """Marker base class for operator syntax trees."""
+class Expr(Record):
+    """Base class of operator syntax trees."""
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Dunkl(Expr):
-    var: str     # "z" or "zb"
+    __slots__ = ("var",)     # "z" or "zb"
 
-    def __post_init__(self):
-        if self.var not in ("z", "zb"):
+    def __init__(self, var: str):
+        if var not in ("z", "zb"):
             raise ValueError("Dunkl direction must be z or zb")
+        object.__setattr__(self, "var", var)
 
 
-@dataclass(frozen=True)
-class Mul(Expr):
-    poly: MPoly
+class Mul(Expr, Keyed):
+    __slots__ = ("poly",)
 
-    def __post_init__(self):
-        # MPoly is unhashable; hash the terms once so nodes can key a memo
-        object.__setattr__(self, "_hash",
-                           hash(frozenset(self.poly.terms.items())))
-
-    def __hash__(self) -> int:
-        return self._hash
+    def __init__(self, poly: MPoly):
+        object.__setattr__(self, "poly", poly)
+        # MPoly is unhashable; key the node on its terms, hashed once, so
+        # nodes can key a memo
+        self._keep(frozenset(poly.terms.items()))
 
 
-@dataclass(frozen=True)
 class GroupOp(Expr):
-    elem: GroupElem
+    __slots__ = ("elem",)
 
 
-@dataclass(frozen=True)
 class Sum(Expr):
-    parts: Tuple[Expr, ...]
+    __slots__ = ("parts",)
 
 
-@dataclass(frozen=True)
 class Compose(Expr):
     """Operator product; the rightmost factor acts first."""
-    parts: Tuple[Expr, ...]
+    __slots__ = ("parts",)
 
 
-@dataclass(frozen=True)
 class Commutator(Expr):
-    a: Expr
-    b: Expr
+    __slots__ = ("a", "b")
 
 
 Terms = Tuple[Tuple[Exponent, QI], ...]

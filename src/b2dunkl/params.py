@@ -9,47 +9,38 @@ degenerate and coefficient tables lose meaning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
 from .poly import MPoly
+from .record import Keyed
 from .scalars import format_rat, parse_rat
 
 RatOrPoly = Union[Fraction, MPoly]
 
 
-@dataclass(frozen=True)
-class Params:
-    k0: Optional[Fraction]
-    k1: Optional[Fraction]
-    w: Optional[Fraction]
+class Params(Keyed):
+    __slots__ = ("k0", "k1", "w")
 
-    def __post_init__(self):
-        vals = (self.k0, self.k1, self.w)
+    def __init__(self, k0: Optional[Fraction], k1: Optional[Fraction],
+                 w: Optional[Fraction]):
+        vals = (k0, k1, w)
         if any(v is None for v in vals):
             if not all(v is None for v in vals):
                 raise ValueError("parameters must be all numeric or all "
                                  "symbolic")
         else:
-            if self.k0 < 0 or self.k1 < 0:
+            if k0 < 0 or k1 < 0:
                 raise ValueError("couplings must be nonnegative")
-            if self.w <= 0:
+            if w <= 0:
                 raise ValueError("frequency must be positive")
+        object.__setattr__(self, "k0", k0)
+        object.__setattr__(self, "k1", k1)
+        object.__setattr__(self, "w", w)
         # every memo lookup hashes and compares its Params key; reduce the
         # Fractions to one integer tuple once, and hash that once
-        key = None if self.k0 is None else tuple(
-            n for v in vals for n in (v.numerator, v.denominator))
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Params):
-            return NotImplemented
-        return self._key == other._key
-
-    def __hash__(self) -> int:
-        return self._hash
+        self._keep(None if k0 is None else tuple(
+            n for v in vals for n in (v.numerator, v.denominator)))
 
     @classmethod
     def numeric(cls, k0, k1, w) -> "Params":

@@ -12,7 +12,6 @@ entry by entry elsewhere; here both sides are merely constructed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
@@ -23,6 +22,7 @@ from .linsolve import LinearSolver, NotInSpanError
 from .operators import apply_named
 from .params import Params
 from .poly import MPoly
+from .record import Mutable
 from .scalars import QI, format_rat
 
 
@@ -126,12 +126,10 @@ def j2_expansion(label: BasisLabel,
 # ---- coefficient tables ----------------------------------------------------
 
 
-@dataclass
-class CoeffTable:
-    operator: str
-    degree: int
-    params: Params
-    entries: Dict[BasisLabel, Dict[BasisLabel, QI]]
+class CoeffTable(Mutable):
+    # entries[source][target]: the coefficient of basis state target in the
+    # image of basis state source
+    __slots__ = ("operator", "degree", "params", "entries")
 
     def to_json_dict(self) -> dict:
         return {

@@ -8,7 +8,6 @@ environment data, so a repeated run serializes to identical bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Sequence
 
@@ -19,6 +18,7 @@ from .kernel import IDENTITIES, IDENTITY_NAMES, image_scope, prove_named
 from .operators import apply_named
 from .params import DEFAULT_PARAMS, EXTRA_PARAM_SETS, Params
 from .poly import MPoly
+from .record import Mutable, Record
 from .scalars import QI, format_rat
 from .spectra import (E1_DIAG_VARIANT, E2_DIAG_VARIANT,
                       adjudicate_mirror_diagonals, expand,
@@ -27,11 +27,11 @@ from .spectra import (E1_DIAG_VARIANT, E2_DIAG_VARIANT,
 from .weighted import verify_weighted_conjugation
 
 
-@dataclass(frozen=True)
-class Case:
-    name: str
-    passed: bool
-    detail: str = ""
+class Case(Record):
+    __slots__ = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str = ""):
+        Record.__init__(self, name, passed, detail)
 
     def to_json_dict(self) -> dict:
         return {"name": self.name,
@@ -39,12 +39,8 @@ class Case:
                 "detail": self.detail}
 
 
-@dataclass
-class SuiteReport:
-    suite: str
-    max_degree: int
-    params: Params
-    cases: List[Case]
+class SuiteReport(Mutable):
+    __slots__ = ("suite", "max_degree", "params", "cases")
 
     @property
     def passed(self) -> bool:

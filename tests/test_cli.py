@@ -2,9 +2,13 @@
 and byte determinism of reports."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import b2dunkl
 from b2dunkl import basis, cli, kernel, operators, spectra, verify
 from b2dunkl.cli import main
 from b2dunkl.poly import ExactDivisionError, MPoly
@@ -151,6 +155,40 @@ def test_environment_change_between_calls_is_honoured(capsys, monkeypatch):
         assert main(["basis", "--degree", "0"]) == 0
         blob = json.loads(capsys.readouterr().out)
         assert blob["params"]["k0"] == k0
+
+
+def test_unknown_environment_variable_changes_nothing(capsys):
+    argv = ["table", "k", "--degree", "1"]
+    code, out, err = run(capsys, argv, env={"B2DUNKL_K0": "1/3"})
+    misses = cli._parser_for.cache_info().misses
+    assert run(capsys, argv, env={"B2DUNKL_K0": "1/3",
+                                  "B2DUNKL_FOO": "2"}) == (code, out, err)
+    # the parser cache is keyed on the variables the parser reads
+    assert cli._parser_for.cache_info().misses == misses
+
+
+def test_parser_cache_key_names_every_variable_the_parser_reads():
+    class Recording(dict):
+        def get(self, key, default=None):
+            read.append(key)
+            return default
+
+    read = []
+    cli._build_parser(Recording())
+    assert sorted(read) == sorted(cli._ENV_NAMES)
+
+
+def test_import_loads_no_dataclasses_inspect_ast_or_csv():
+    # these cost milliseconds at every start; no command needs them
+    package_root = os.path.dirname(os.path.dirname(b2dunkl.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [package_root] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys; before = set(sys.modules); import b2dunkl.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'ast', 'csv'} "
+            "& (set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          env=env, text=True, check=True)
+    assert proc.stdout == "[]\n"
 
 
 def test_shared_parser_gives_the_bytes_of_a_fresh_one(capsys, monkeypatch):
