@@ -13,10 +13,16 @@ difference a - b determines which of eight families the function belongs to:
   O3  a-b = 4n+3       seed: z times a coupling-weighted (E1, E2) mix
   O1R, O3R             mirror images of O1, O3 (labels swapped)
 
+Each of these is a closed form in d = a - b: the family is fixed by the
+sign of d and |d| mod 4, the tower index is n = |d| div 4 and the chain
+position (the Laguerre degree) is j = min(a, b).
+
 Even families carry the four linear characters of the symmetry group
-(E0 <-> trivial, E3 <-> determinant); odd families pair up under the
-axis mirror.  Numeric parameters are required: seed coefficients divide by
-expressions in the couplings.
+(E_m carries character m: E0 <-> trivial, E3 <-> determinant); odd
+families pair up under the axis mirror.  So the mirror swaps a label with
+odd d and multiplies one with even d by +1 (d >= 0) or -1 (d < 0).
+Numeric parameters are required: seed coefficients divide by expressions
+in the couplings.
 """
 
 from __future__ import annotations
@@ -34,7 +40,11 @@ from .scalars import QI
 
 HALF = Fraction(1, 2)
 
-EVEN_FAMILIES = ("E0", "E1", "E2", "E3")
+# family of a label by (d >= 0, |d| mod 4), where d = a - b
+_FAMILY = {
+    (True, 0): "E0", (True, 2): "E1", (True, 1): "O1", (True, 3): "O3",
+    (False, 0): "E3", (False, 2): "E2", (False, 1): "O1R", (False, 3): "O3R",
+}
 
 
 def pochhammer(a, n: int):
@@ -90,19 +100,8 @@ class BasisLabel(Ordered):
     def classify(self) -> Tuple[str, int, int]:
         """(family, tower index n, chain position j)."""
         d = self.a - self.b
-        if d % 2 == 0:
-            if d >= 0:
-                fam = "E0" if d % 4 == 0 else "E1"
-                return fam, (d - (0 if d % 4 == 0 else 2)) // 4, self.b
-            e = -d
-            fam = "E3" if e % 4 == 0 else "E2"
-            return fam, (e - (0 if e % 4 == 0 else 2)) // 4, self.a
-        if d > 0:
-            fam = "O1" if d % 4 == 1 else "O3"
-            return fam, (d - (1 if d % 4 == 1 else 3)) // 4, self.b
-        e = -d
-        fam = "O1R" if e % 4 == 1 else "O3R"
-        return fam, (e - (1 if e % 4 == 1 else 3)) // 4, self.a
+        n, r = divmod(abs(d), 4)
+        return _FAMILY[d >= 0, r], n, min(self.a, self.b)
 
     @property
     def family(self) -> str:
@@ -162,7 +161,6 @@ def harmonic_seed(family: str, n: int, params: Params) -> MPoly:
 @lru_cache(maxsize=None)
 def psi(label: BasisLabel, params: Params) -> MPoly:
     """Basis wavefunction (polynomial part; the Gaussian factor is implied)."""
-    _require_numeric(params)
     family, n, j = label.classify()
     seed = harmonic_seed(family, n, params)
     m = seed.total_degree()
@@ -183,20 +181,14 @@ def rho1_eigenvalue(label: BasisLabel) -> QI:
 
 def isotype(label: BasisLabel) -> Optional[int]:
     """Character index for even labels; None for odd (two-dimensional)."""
-    fam = label.family
-    if fam in EVEN_FAMILIES:
-        return int(fam[1])
-    return None
+    return None if (label.a - label.b) % 2 else int(label.family[1])
 
 
 def sigma0_action(label: BasisLabel) -> Tuple[BasisLabel, int]:
-    """(image label, sign) under the axis mirror."""
-    fam = label.family
-    if fam in ("E0", "E1"):
-        return label, 1
-    if fam in ("E2", "E3"):
-        return label, -1
-    return label.swap(), 1
+    """(image label, sign) under the axis mirror: odd labels swap, even
+    labels keep their place with sign +1 for a >= b and -1 for a < b."""
+    d = label.a - label.b
+    return (label.swap(), 1) if d % 2 else (label, 1 if d >= 0 else -1)
 
 
 def group_action(g: GroupElem, label: BasisLabel) -> Tuple[BasisLabel, QI]:

@@ -45,6 +45,7 @@ _ENV_PREFIX = "B2DUNKL_"
 # the variables _build_parser reads, and so the key of its cache
 _ENV_NAMES = tuple(_ENV_PREFIX + key for key in (
     "K0", "K1", "OMEGA", "MAX_DEGREE", "FORMAT", "OUT", "SUITE"))
+_FORMATS = ("json", "csv")
 
 
 class ConfigError(Exception):
@@ -88,7 +89,7 @@ def _build_parser(env) -> argparse.ArgumentParser:
                         type=int,
                         default=_env(env, "MAX_DEGREE", None),
                         help="degree bound (alias: --degree)")
-    common.add_argument("--format", choices=("json", "csv"),
+    common.add_argument("--format", choices=_FORMATS,
                         default=_env(env, "FORMAT", None),
                         help="output format (default json; prove defaults "
                              "to a plain verdict)")
@@ -148,14 +149,13 @@ def _params_from(args) -> Params:
     return Params.numeric(args.k0, args.k1, args.omega)
 
 
-def _format_from(args, fallback: str = "json") -> str:
-    return args.format if args.format is not None else fallback
+def _format_from(args) -> str:
+    return args.format if args.format is not None else "json"
 
 
 def _degree_from(args) -> int:
-    raw = args.max_degree if args.max_degree is not None \
+    deg = args.max_degree if args.max_degree is not None \
         else args.default_degree
-    deg = int(raw)
     if deg < 0:
         raise ConfigError("degree bound must be nonnegative")
     return deg
@@ -254,6 +254,8 @@ def _parse_suites(raw: Optional[List[str]]) -> List[str]:
                 names.extend(SUITE_ORDER)
             else:
                 names.append(part)
+    if not names:
+        raise ConfigError("no suite selected")
     return names
 
 
@@ -371,7 +373,8 @@ def _cmd_apply(args) -> int:
         from .spectra import expand
         degree = image.total_degree()
         params.require_generic(degree)
-        coeffs = expand(image, degree, params)
+        # the zero polynomial lies in every level, with no coordinates
+        coeffs = expand(image, degree, params) if degree >= 0 else {}
         out["expansion"] = [
             {"label": label_str(lb), "coefficient": str(c)}
             for lb, c in coeffs.items()
@@ -386,6 +389,12 @@ def main(argv: Optional[Sequence[str]] = None,
     parser = _parser_for(tuple([env.get(name) for name in _ENV_NAMES]))
     args = parser.parse_args(argv)
     try:
+        # argparse checks choices only on the command line, not on a
+        # default taken from the environment
+        if args.format not in (None, *_FORMATS):
+            raise ConfigError(f"{_ENV_PREFIX}FORMAT: invalid choice: "
+                              f"{args.format!r} (choose from "
+                              + ", ".join(map(repr, _FORMATS)) + ")")
         return args.handler(args)
     except (ConfigError, ValueError, KeyError) as exc:
         msg = exc.args[0] if exc.args else str(exc)

@@ -3,7 +3,9 @@
 Eight elements: rotations ``rot k`` sending z to i^k z, and reflections
 ``ref k`` sending z to i^k zb.  ``mul(a, b)`` composes as "apply a, then b";
 with that convention the polynomial action satisfies
-``act(g, act(h, p)) == act(mul(g, h), p)``.
+``act(g, act(h, p)) == act(mul(g, h), p)``.  In closed form the composite
+reflects when exactly one factor does, and turns by b.k - a.k when b
+reflects and by a.k + b.k when it does not.
 
 Also hosts the four mirror lines ``ell(j) = z - i^j zb`` whose vanishing loci
 are the reflection hyperplanes, and the group-algebra coefficients of the
@@ -44,14 +46,8 @@ ALL_ELEMENTS: Tuple[GroupElem, ...] = tuple(
 
 
 def mul(a: GroupElem, b: GroupElem) -> GroupElem:
-    """Composite "apply a, then b"."""
-    if not a.refl and not b.refl:
-        return rotation(a.k + b.k)
-    if not a.refl:
-        return reflection(b.k - a.k)
-    if not b.refl:
-        return reflection(a.k + b.k)
-    return rotation(b.k - a.k)
+    """Composite "apply a, then b"; a reflecting b reverses a's turn."""
+    return GroupElem(a.refl != b.refl, b.k - a.k if b.refl else b.k + a.k)
 
 
 def inv(g: GroupElem) -> GroupElem:

@@ -407,7 +407,7 @@ def _poch3(x: Fraction) -> Fraction:
     return x * (x + 1) * (x + 2)
 
 
-def adjudicate_mirror_diagonals(params: Params, max_degree: int = 10):
+def adjudicate_mirror_diagonals(params: Params, max_degree: int):
     """Determine which variants of the contested mirror-family diagonal
     formulas reproduce the computed quartic table.
 

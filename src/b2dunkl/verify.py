@@ -310,9 +310,6 @@ def _suite_superint(params: Params, max_degree: int) -> List[Case]:
 # ---- public runner ---------------------------------------------------------
 
 
-SUITE_ORDER = ("eigen", "j2", "rho1", "h0", "k", "cai", "kernel",
-               "appendixA", "superint")
-
 _SUITES: Dict[str, Callable[[Params, int], List[Case]]] = {
     "eigen": _suite_eigen,
     "j2": _suite_j2,
@@ -324,14 +321,19 @@ _SUITES: Dict[str, Callable[[Params, int], List[Case]]] = {
     "appendixA": _suite_weighted_conjugation,
     "superint": _suite_superint,
 }
+SUITE_ORDER = tuple(_SUITES)
+
+
+def _unknown_suite(name: str) -> KeyError:
+    return KeyError(f"unknown suite {name!r}; available: "
+                    + ", ".join(SUITE_ORDER) + ", all")
 
 
 def run_suite(name: str, params: Params, max_degree: int) -> SuiteReport:
     try:
         fn = _SUITES[name]
     except KeyError:
-        raise KeyError(f"unknown suite {name!r}; available: "
-                       + ", ".join(SUITE_ORDER) + ", all") from None
+        raise _unknown_suite(name) from None
     if params.is_symbolic:
         raise ValueError("verification suites need numeric parameters")
     params.require_generic(max_degree)
@@ -340,11 +342,10 @@ def run_suite(name: str, params: Params, max_degree: int) -> SuiteReport:
 
 def run_suites(names: Sequence[str], params: Params,
                max_degree: int) -> List[SuiteReport]:
+    for n in names:
+        if n not in _SUITES:
+            raise _unknown_suite(n)
     ordered = [n for n in SUITE_ORDER if n in names]
-    unknown = [n for n in names if n not in SUITE_ORDER]
-    if unknown:
-        raise KeyError(f"unknown suite {unknown[0]!r}; available: "
-                       + ", ".join(SUITE_ORDER) + ", all")
     # one image scope: the superint suite reuses the kernel suite's proof
     # of the angular quartic
     with image_scope():

@@ -17,6 +17,7 @@ from b2dunkl.params import DEFAULT_PARAMS as P
 from b2dunkl.params import EXTRA_PARAM_SETS, Params
 from b2dunkl.poly import MPoly
 from b2dunkl.scalars import QI
+import label_oracle
 import norm_oracle
 
 Z = MPoly.var("z")
@@ -28,6 +29,8 @@ def test_pochhammer():
     assert pochhammer(Q(1, 2), 3) == Q(1, 2) * Q(3, 2) * Q(5, 2)
     assert pochhammer(5, 0) == 1
     assert pochhammer(-3, 2) == 6
+    with pytest.raises(ValueError, match="nonnegative"):
+        pochhammer(Q(1, 2), -1)
 
 
 def test_laguerre_small_cases():
@@ -90,6 +93,13 @@ def test_jacobi_frozen_degree_one():
     assert jacobi_homogeneous(1, alpha, beta) == expect
 
 
+def test_harmonic_seed_rejects_unknown_family_and_empty_tower():
+    with pytest.raises(ValueError, match="starts at n = 1"):
+        harmonic_seed("E3", 0, P)
+    with pytest.raises(ValueError, match="unknown family 'E4'"):
+        harmonic_seed("E4", 0, P)
+
+
 def test_label_classification():
     assert BasisLabel(4, 0).classify() == ("E0", 1, 0)
     assert BasisLabel(7, 3).classify() == ("E0", 1, 3)
@@ -107,6 +117,15 @@ def test_label_classification():
     assert BasisLabel(1, 6).classify() == ("O1R", 1, 1)
     with pytest.raises(ValueError):
         BasisLabel(-1, 2)
+
+
+def test_closed_forms_equal_case_by_case_oracle():
+    for deg in range(61):
+        for label in enumerate_basis(deg):
+            assert label.classify() == label_oracle.classify(label), label
+            assert sigma0_action(label) == \
+                label_oracle.sigma0_action(label), label
+            assert isotype(label) == label_oracle.isotype(label), label
 
 
 def test_enumerate_basis():

@@ -149,6 +149,21 @@ def test_env_overrides_and_flag_precedence(capsys):
     assert blob["entries"] != []
 
 
+@pytest.mark.parametrize("argv", [
+    ["basis", "--degree", "0"],
+    ["table", "k", "--degree", "1"],
+    ["verify", "--suite", "rho1", "--max-degree", "1"],
+    ["prove", "--identity", "angular-quartic"],
+    ["apply", "--op", "T", "--label", "1,0"],
+])
+def test_out_of_range_format_from_environment_exits_two(argv, capsys):
+    # the flag's choices bind a value taken from the environment too
+    code, out, err = run(capsys, argv, env={"B2DUNKL_FORMAT": "xml"})
+    assert (code, out) == (2, "")
+    assert err == ("b2dunkl: error: B2DUNKL_FORMAT: invalid choice: 'xml' "
+                   "(choose from 'json', 'csv')\n")
+
+
 def test_environment_change_between_calls_is_honoured(capsys, monkeypatch):
     for k0 in ("5/11", "1/3", "5/11"):
         monkeypatch.setenv("B2DUNKL_K0", k0)
@@ -337,6 +352,12 @@ def test_verify_unknown_suite_exits_two(capsys):
     assert "unknown suite" in err
 
 
+@pytest.mark.parametrize("selection", [",", "", " , "])
+def test_verify_selection_naming_no_suite_exits_two(selection, capsys):
+    code, out, err = run(capsys, ["verify", "--suite", selection])
+    assert (code, out, err) == (2, "", "b2dunkl: error: no suite selected\n")
+
+
 def test_verify_csv_rows(capsys):
     code, out, _ = run(capsys, ["verify", "--suite", "superint",
                                 "--max-degree", "7", "--format", "csv"])
@@ -400,6 +421,19 @@ def test_apply_label_with_expansion(capsys):
     assert blob["expansion"] == [
         {"label": "1,0", "coefficient": "1160/231"}]
     assert blob["result"]["terms"][0]["re"] == "1160/231"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--op", "T", "--label", "0,0"],
+    ["--op", "J", "--poly", '{"vars": [], "terms": []}'],
+])
+def test_apply_zero_image_expands_to_nothing(argv, capsys):
+    # the zero polynomial lies in every level, with no coordinates
+    code, out, err = run(capsys, ["apply", *argv, "--expand"])
+    assert (code, err) == (0, "")
+    blob = json.loads(out)
+    assert blob["result"] == {"vars": [], "terms": []}
+    assert blob["expansion"] == []
 
 
 def test_apply_json_op_echoes_its_input(capsys):
@@ -472,6 +506,14 @@ def test_apply_unknown_operator_exits_two(capsys):
     code, _, err = run(capsys, ["apply", "--op", "Zeta", "--label", "1,0"])
     assert code == 2
     assert "operator" in err
+
+
+def test_apply_unknown_group_element_exits_two(capsys):
+    code, out, err = run(capsys, ["apply", "--op",
+                                  '{"op": "group", "element": "rot7"}',
+                                  "--label", "1,0"])
+    assert (code, out) == (2, "")
+    assert "not a group element name: 'rot7'" in err
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

@@ -8,6 +8,7 @@ visit.  Both must give equal results on polynomials and on prover states.
 
 from fractions import Fraction as Q
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from b2dunkl import kernel, operators
@@ -226,3 +227,8 @@ def test_equal_mul_nodes_share_one_coefficient_entry():
     assert coefficient(b, Params.numeric("1/2", "1/3", "1")) \
         is coefficient(a, pr)
     assert coefficient.cache_info().currsize == 1
+
+
+def test_evaluate_rejects_a_non_expression():
+    with pytest.raises(TypeError, match="not an operator expression"):
+        apply("T", MPoly.var("z"), Params.numeric("13/17", "19/23", "29/31"))

@@ -17,6 +17,7 @@ from b2dunkl.operators import apply_named
 from b2dunkl.params import Params
 from b2dunkl.poly import MPoly
 from b2dunkl.scalars import QI
+import label_oracle
 
 Z = MPoly.var("z")
 ZB = MPoly.var("zb")
@@ -54,6 +55,13 @@ def test_composition_matches_matrix_oracle():
     for a in ALL_ELEMENTS:
         for b in ALL_ELEMENTS:
             assert matrix_of(mul(a, b)) == matmul(matrix_of(b), matrix_of(a))
+
+
+def test_closed_form_product_equals_case_by_case_oracle():
+    products = [(a, b) for a in ALL_ELEMENTS for b in ALL_ELEMENTS]
+    assert len(products) == 64
+    for a, b in products:
+        assert mul(a, b) == label_oracle.mul(a, b), (a, b)
 
 
 def test_inverses():

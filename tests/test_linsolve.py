@@ -36,6 +36,15 @@ def test_zero_first_pivot_replays_the_row_swap():
         solver.solve([3, 2, 4])
 
 
+def test_malformed_systems_rejected():
+    with pytest.raises(ValueError, match="empty matrix"):
+        LinearSolver([])
+    with pytest.raises(ValueError, match="ragged matrix"):
+        LinearSolver([[1, 2], [3]])
+    with pytest.raises(ValueError, match="wrong length"):
+        LinearSolver([[1, 0], [0, 1]]).solve([1])
+
+
 def test_inconsistent_raises():
     with pytest.raises(NotInSpanError):
         LinearSolver([[1], [1]]).solve([1, 2])

@@ -34,6 +34,22 @@ def test_constructor_orders_vars_canonically():
 def test_unknown_variable_rejected():
     with pytest.raises(ValueError):
         MPoly.var("x")
+    with pytest.raises(ValueError, match="unknown variable 'x'"):
+        MPoly(("x",), {(1,): 1})
+    with pytest.raises(ValueError, match="unknown variable 'x'"):
+        Z.coefficient({"x": 1})
+
+
+def test_repeated_variable_and_arity_mismatch_rejected():
+    with pytest.raises(ValueError, match="repeated variable"):
+        MPoly(("z", "z"), {(1, 1): 1})
+    with pytest.raises(ValueError, match="arity mismatch"):
+        MPoly(("z", "zb"), {(1,): 1})
+
+
+def test_polynomials_refuse_assignment():
+    with pytest.raises(AttributeError, match="immutable"):
+        Z.terms = {}
 
 
 def test_negative_or_non_integer_exponents_rejected():
@@ -46,6 +62,8 @@ def test_negative_or_non_integer_exponents_rejected():
     with pytest.raises(ValueError, match="nonnegative integers"):
         MPoly.from_json_dict({"vars": ["z", "zb"], "terms": [
             {"exp": [2, -1], "re": "1/1", "im": "0/1"}]})
+    with pytest.raises(ValueError, match="negative power"):
+        Z ** -1
 
 
 def test_frozen_products():

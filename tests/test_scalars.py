@@ -91,6 +91,8 @@ def test_parse_and_format_round_trip():
     assert format_rat(Fraction(-1, 4)) == "-1/4"
     with pytest.raises(ValueError):
         parse_rat("1.5")
+    with pytest.raises(ValueError, match="exact rational literal"):
+        parse_rat("1/0")
 
 
 def test_real_values_hash_like_equal_rationals():

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from b2dunkl import spectra
+from b2dunkl import spectra, verify
 from b2dunkl.basis import (BasisLabel, group_action, j2_eigenvalue, psi,
                            rho1_eigenvalue)
 from b2dunkl.group import IDENTITY
@@ -35,11 +35,18 @@ def test_eigen_suite_report_shape():
     json.dumps(blob)
 
 
-def test_unknown_suite_rejected():
-    with pytest.raises(KeyError):
+def test_unknown_suite_rejected(monkeypatch):
+    with pytest.raises(KeyError) as one:
         run_suite("bogus", DEFAULT_PARAMS, 2)
-    with pytest.raises(KeyError):
+    # run_suites rejects the whole selection before it runs any suite
+    ran = []
+    monkeypatch.setattr(verify, "run_suite", lambda *a: ran.append(a))
+    with pytest.raises(KeyError) as many:
         run_suites(["eigen", "bogus"], DEFAULT_PARAMS, 2)
+    assert ran == []
+    assert many.value.args == one.value.args == (
+        "unknown suite 'bogus'; available: " + ", ".join(SUITE_ORDER)
+        + ", all",)
 
 
 def test_symbolic_params_rejected():
