@@ -12,11 +12,10 @@ zero, or an exact division that left a remainder), which is a fault of
 the program and not a verdict.
 
 Every flag can also be set through an environment variable with the
-``B2DUNKL_`` prefix (``B2DUNKL_K0``, ``B2DUNKL_MAX_DEGREE``, ...); explicit
-flags win over the environment.  A process builds the argument parser
-once per set of ``B2DUNKL_`` values, on its first ``main`` call with that
-set, so a caller that runs many commands in one process does not rebuild
-it per command; the environment is read again on every call.
+``B2DUNKL_`` prefix (``B2DUNKL_K0``, ``B2DUNKL_MAX_DEGREE``, ...), read on
+every call after parsing for each setting no flag gave; a malformed value
+exits 2 naming its variable.  A process builds the parser once, on its
+first ``main`` call, however many commands it runs.
 """
 
 from __future__ import annotations
@@ -41,10 +40,6 @@ from .spectra import (h0_table, j2_table, k_table, label_str, norm_table,
                       parse_label)
 from .verify import SUITE_ORDER, run_suites
 
-_ENV_PREFIX = "B2DUNKL_"
-# the variables _build_parser reads, and so the key of its cache
-_ENV_NAMES = tuple(_ENV_PREFIX + key for key in (
-    "K0", "K1", "OMEGA", "MAX_DEGREE", "FORMAT", "OUT", "SUITE"))
 _FORMATS = ("json", "csv")
 
 
@@ -59,8 +54,25 @@ def _rat(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _env(env, key: str, fallback):
-    return env.get(_ENV_PREFIX + key, fallback)
+def _format(text: str) -> str:
+    if text not in _FORMATS:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {text!r} (choose from "
+            + ", ".join(map(repr, _FORMATS)) + ")")
+    return text
+
+
+# each setting a B2DUNKL_ variable can give: (its text's reader, default)
+_SETTINGS = {
+    "k0": (_rat, DEFAULT_PARAMS.k0),
+    "k1": (_rat, DEFAULT_PARAMS.k1),
+    "omega": (_rat, DEFAULT_PARAMS.w),
+    "max_degree": (int, None),
+    "format": (_format, None),
+    "out": (str, None),
+    # an empty B2DUNKL_SUITE selects every suite, as no --suite does
+    "suite": (lambda text: [text] if text else None, None),
+}
 
 
 def _fixed_width(prog: str) -> argparse.HelpFormatter:
@@ -68,7 +80,11 @@ def _fixed_width(prog: str) -> argparse.HelpFormatter:
     return argparse.HelpFormatter(prog, width=78)
 
 
-def _build_parser(env) -> argparse.ArgumentParser:
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    # argparse leaves a parser as it was while parsing (a fresh namespace,
+    # copied append defaults, formatters made per message), so the one
+    # parser a process builds serves every later call
     parser = argparse.ArgumentParser(
         prog="b2dunkl", formatter_class=_fixed_width,
         description="Exact tables, verification suites and identity proofs "
@@ -77,23 +93,17 @@ def _build_parser(env) -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--k0", type=_rat,
-                        default=_env(env, "K0", DEFAULT_PARAMS.k0),
                         help="first reflection coupling, exact p/q")
     common.add_argument("--k1", type=_rat,
-                        default=_env(env, "K1", DEFAULT_PARAMS.k1),
                         help="second reflection coupling, exact p/q")
     common.add_argument("--omega", type=_rat,
-                        default=_env(env, "OMEGA", DEFAULT_PARAMS.w),
                         help="oscillator frequency, exact p/q")
     common.add_argument("--max-degree", "--degree", dest="max_degree",
-                        type=int,
-                        default=_env(env, "MAX_DEGREE", None),
-                        help="degree bound (alias: --degree)")
+                        type=int, help="degree bound (alias: --degree)")
     common.add_argument("--format", choices=_FORMATS,
-                        default=_env(env, "FORMAT", None),
                         help="output format (default json; prove defaults "
                              "to a plain verdict)")
-    common.add_argument("--out", default=_env(env, "OUT", None),
+    common.add_argument("--out",
                         help="write output to this path instead of stdout")
 
     add_parser = functools.partial(sub.add_parser, parents=[common],
@@ -107,50 +117,48 @@ def _build_parser(env) -> argparse.ArgumentParser:
 
     p = add_parser("verify", help="run verification suites")
     p.add_argument("--suite", action="append",
-                   default=None,
                    help="suite id or 'all'; repeat or comma-separate "
                         "(default: all)")
-    p.set_defaults(handler=_cmd_verify, default_degree=8,
-                   env_suite=_env(env, "SUITE", None))
+    p.set_defaults(handler=_cmd_verify, default_degree=8)
 
     p = add_parser("prove", help="prove or refute an operator identity")
-    p.add_argument("--identity", default=None,
+    p.add_argument("--identity",
                    help="catalogued identity name, or a JSON object "
                         '{"lhs": expr, "rhs": expr}')
     p.add_argument("--list", action="store_true", dest="list_identities",
                    help="list catalogued identity names and exit")
-    p.set_defaults(handler=_cmd_prove, default_degree=0)
+    p.set_defaults(handler=_cmd_prove)
 
     p = add_parser("apply", help="apply an operator to a polynomial or state")
     p.add_argument("--op", required=True,
                    help="operator name or JSON expression")
-    p.add_argument("--label", default=None,
-                   help="basis state 'a,b' to act on")
-    p.add_argument("--poly", default=None,
-                   help="polynomial JSON to act on")
+    p.add_argument("--label", help="basis state 'a,b' to act on")
+    p.add_argument("--poly", help="polynomial JSON to act on")
     p.add_argument("--expand", action="store_true",
                    help="also expand the image over the basis level")
-    p.set_defaults(handler=_cmd_apply, default_degree=0)
+    p.set_defaults(handler=_cmd_apply)
 
     return parser
-
-
-@functools.lru_cache(maxsize=8)
-def _parser_for(env_values) -> argparse.ArgumentParser:
-    # argparse leaves a parser as it was while parsing (a fresh namespace,
-    # copied append defaults, formatters made per message), so one parser
-    # per set of B2DUNKL_ values serves every later call
-    return _build_parser({name: value
-                          for name, value in zip(_ENV_NAMES, env_values)
-                          if value is not None})
 
 
 def _params_from(args) -> Params:
     return Params.numeric(args.k0, args.k1, args.omega)
 
 
-def _format_from(args) -> str:
-    return args.format if args.format is not None else "json"
+def _fill_settings(args, env) -> None:
+    given = vars(args)
+    for name, (reader, default) in _SETTINGS.items():
+        # a flag on the command line wins; B2DUNKL_SUITE serves verify only
+        if given.get(name, "") is not None:
+            continue
+        var = "B2DUNKL_" + name.upper()
+        text = env.get(var)
+        try:
+            given[name] = default if text is None else reader(text)
+        except argparse.ArgumentTypeError as exc:
+            raise ConfigError(f"{var}: {exc}") from None
+        except ValueError:      # from int; worded as argparse words it
+            raise ConfigError(f"{var}: invalid int value: {text!r}") from None
 
 
 def _degree_from(args) -> int:
@@ -192,7 +200,7 @@ def _cmd_basis(args) -> int:
     params = _params_from(args)
     degree = _degree_from(args)
     params.require_generic(degree)
-    as_csv = _format_from(args) == "csv"
+    as_csv = args.format == "csv"
     keys = ("label", "family", "isotype", "rotation_phase")
     rows = [["degree", *keys, "energy", "polynomial"]]
     levels = []
@@ -224,7 +232,7 @@ def _cmd_table(args) -> int:
     degree = _degree_from(args)
     if args.which == "norms":
         data = norm_table(degree, params)
-        if _format_from(args) == "csv":
+        if args.format == "csv":
             rows = data["rows"]
             _emit_csv([list(rows[0])] + [list(r.values()) for r in rows],
                       args)
@@ -233,7 +241,7 @@ def _cmd_table(args) -> int:
         return 0
     maker = {"h0": h0_table, "k": k_table, "j2": j2_table}[args.which]
     table = maker(degree, params)
-    if _format_from(args) == "csv":
+    if args.format == "csv":
         _emit_csv(table.to_csv_rows(), args)
     else:
         _emit_json({"command": "table", "which": args.which,
@@ -262,13 +270,10 @@ def _parse_suites(raw: Optional[List[str]]) -> List[str]:
 def _cmd_verify(args) -> int:
     params = _params_from(args)
     degree = _degree_from(args)
-    raw = args.suite
-    if raw is None and args.env_suite:
-        raw = [args.env_suite]
-    suites = _parse_suites(raw)
+    suites = _parse_suites(args.suite)
     reports = run_suites(suites, params, degree)
     ok = all(r.passed for r in reports)
-    if _format_from(args) == "csv":
+    if args.format == "csv":
         rows = [["suite", "case", "status", "detail"]]
         for rep in reports:
             for case in rep.cases:
@@ -385,16 +390,9 @@ def _cmd_apply(args) -> int:
 
 def main(argv: Optional[Sequence[str]] = None,
          env: Optional[dict] = None) -> int:
-    env = os.environ if env is None else env
-    parser = _parser_for(tuple([env.get(name) for name in _ENV_NAMES]))
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        # argparse checks choices only on the command line, not on a
-        # default taken from the environment
-        if args.format not in (None, *_FORMATS):
-            raise ConfigError(f"{_ENV_PREFIX}FORMAT: invalid choice: "
-                              f"{args.format!r} (choose from "
-                              + ", ".join(map(repr, _FORMATS)) + ")")
+        _fill_settings(args, os.environ if env is None else env)
         return args.handler(args)
     except (ConfigError, ValueError, KeyError) as exc:
         msg = exc.args[0] if exc.args else str(exc)

@@ -62,7 +62,7 @@ class MPoly:
 
         merged: Dict[Exponent, QI] = {}
         for exp, c in (terms or {}).items():
-            if not all(isinstance(e, int) and e >= 0 for e in exp):
+            if not all(type(e) is int and e >= 0 for e in exp):
                 raise ValueError(f"exponents must be nonnegative integers, "
                                  f"not {list(exp)}")
             c = QI.of(c)
@@ -330,6 +330,8 @@ class MPoly:
 
     @classmethod
     def from_json_dict(cls, obj: Mapping) -> "MPoly":
+        if not isinstance(obj["vars"], list):
+            raise ValueError("vars must be a list of variable names")
         names = tuple(obj["vars"])
         terms = {}
         for t in obj["terms"]:

@@ -26,11 +26,10 @@ def parse_rat(text: str) -> Fraction:
 
     Decimal notation is rejected on purpose: callers must state exact values.
     """
-    s = text.strip()
-    if "." in s or "e" in s or "E" in s:
+    if not isinstance(text, str) or "." in text or "e" in text or "E" in text:
         raise ValueError(f"not an exact rational literal: {text!r}")
     try:
-        return Fraction(s)
+        return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not an exact rational literal: {text!r}") from exc
 

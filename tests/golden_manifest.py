@@ -5,12 +5,13 @@ for a fixed set of `b2dunkl` commands.
 suites, the 19 catalogued proofs, the benchmark's table-sweep command
 lines of seeds 1-3, JSON operator commands, every CSV output, each form
 of `prove --identity`, squared-norm tables up to degree 40, the default
-and comma-separated suite lists, the configuration errors that exit 2 and
-two settings read from the environment.  It also pins the hatted
-components Hhat_1 and Hhat_3, which no suite applies, a hatted operator on
-a polynomial with spectator variables, and a table value above 10^30.  An
-entry may carry an ``env`` dict, the environment its command runs with
-(empty when absent).  A refactor
+and comma-separated suite lists, the configuration errors that exit 2
+(malformed polynomial JSON among them) and settings read from the
+environment, one of them malformed and one overridden by its flag.  It
+also pins the hatted components Hhat_1 and Hhat_3, which no suite applies,
+a hatted operator on a polynomial with spectator variables, and a table
+value above 10^30.  An entry may carry an ``env`` dict, the environment its
+command runs with (empty when absent).  A refactor
 that must keep outputs byte-identical regenerates nothing:
 `tests/test_golden.py` replays the committed manifest.  Regenerate it
 only when an output is meant to change:
@@ -59,6 +60,11 @@ HIGH_HEIGHT = ["--k0", "9973/10007", "--k1", "7919/8081",
                "--omega", "4999/5003"]
 NEGATIVE_EXPONENT = {"vars": ["z"], "terms": [
     {"exp": [-1], "re": "1/1", "im": "0/1"}]}
+# coefficients and exponents of the wrong JSON type
+INTEGER_COEFFICIENT = {"vars": ["z"], "terms": [
+    {"exp": [1], "re": 1, "im": "0"}]}
+BOOLEAN_EXPONENT = {"vars": ["z"], "terms": [
+    {"exp": [True], "re": "1", "im": "0"}]}
 # spectator variables u, k0, which every Dunkl step treats as constants
 SPECTATOR_POLY = {"vars": ["z", "zb", "u", "k0"], "terms": [
     {"exp": [3, 1, 1, 0], "re": "2/3", "im": "-1/5"},
@@ -129,13 +135,18 @@ def commands() -> List[List[str]]:
                ["prove", "--identity", "[1]"],
                ["prove", "--identity", '{"lhs": {"op": "nope"}}'],
                ["apply", "--op", "T", "--poly",
-                json.dumps(NEGATIVE_EXPONENT)]])
+                json.dumps(NEGATIVE_EXPONENT)]]
+            + [["apply", "--op", "T", "--poly", json.dumps(poly)]
+               for poly in (INTEGER_COEFFICIENT, BOOLEAN_EXPONENT)])
 
 
 # commands run with settings from the environment: (env, argv)
 ENV_COMMANDS = (
     ({"B2DUNKL_SUITE": "eigen"}, ["verify", "--max-degree", "2"]),
     ({"B2DUNKL_MAX_DEGREE": "-1"}, ["basis"]),
+    ({"B2DUNKL_K0": "0.5"}, ["table", "k", "--degree", "1"]),
+    ({"B2DUNKL_FORMAT": "csv"}, ["table", "k", "--degree", "1"]),
+    ({"B2DUNKL_K0": "1/3"}, ["table", "k", "--degree", "1", "--k0", "3/7"]),
 )
 
 

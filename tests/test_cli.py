@@ -175,39 +175,89 @@ def test_environment_change_between_calls_is_honoured(capsys, monkeypatch):
 def test_unknown_environment_variable_changes_nothing(capsys):
     argv = ["table", "k", "--degree", "1"]
     code, out, err = run(capsys, argv, env={"B2DUNKL_K0": "1/3"})
-    misses = cli._parser_for.cache_info().misses
     assert run(capsys, argv, env={"B2DUNKL_K0": "1/3",
                                   "B2DUNKL_FOO": "2"}) == (code, out, err)
-    # the parser cache is keyed on the variables the parser reads
-    assert cli._parser_for.cache_info().misses == misses
 
 
-def test_parser_cache_key_names_every_variable_the_parser_reads():
-    class Recording(dict):
-        def get(self, key, default=None):
-            read.append(key)
-            return default
+@pytest.mark.parametrize("name, argv, value, other", [
+    ("K0", ["table", "k", "--degree", "1"], "1/3", "2/5"),
+    ("K1", ["table", "k", "--degree", "1"], "1/3", "2/5"),
+    ("OMEGA", ["table", "k", "--degree", "1"], "3/4", "5/6"),
+    ("MAX_DEGREE", ["table", "k"], "1", "2"),
+    ("FORMAT", ["table", "k", "--degree", "1"], "csv", "json"),
+    ("OUT", ["table", "k", "--degree", "1"], "env.json", "flag.json"),
+    ("SUITE", ["verify", "--max-degree", "1"], "rho1", "eigen"),
+])
+def test_each_variable_sets_its_flag_and_the_flag_wins(name, argv, value,
+                                                       other, capsys,
+                                                       tmp_path):
+    # the variable alone acts as its flag with the same value would, and
+    # differs from the default; a flag given as well wins over it
+    flag = "--" + name.lower().replace("_", "-")
+    if name == "OUT":
+        value, other = str(tmp_path / value), str(tmp_path / other)
 
-    read = []
-    cli._build_parser(Recording())
-    assert sorted(read) == sorted(cli._ENV_NAMES)
+    def outcome(env, extra):
+        result = run(capsys, argv + extra, env=env)
+        files = {path.name: path.read_text() for path in tmp_path.iterdir()}
+        for path in tmp_path.iterdir():
+            path.unlink()
+        return result, files
+
+    env = {"B2DUNKL_" + name: value}
+    by_env = outcome(env, [])
+    assert by_env == outcome({}, [flag, value])
+    assert by_env != outcome({}, [])
+    by_flag = outcome({}, [flag, other])
+    assert outcome(env, [flag, other]) == by_flag != by_env
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("K0", "0.5", "not an exact rational literal: '0.5'"),
+    ("K1", "x", "not an exact rational literal: 'x'"),
+    ("OMEGA", "1/0", "not an exact rational literal: '1/0'"),
+    ("MAX_DEGREE", "abc", "invalid int value: 'abc'"),
+    ("FORMAT", "xml", "invalid choice: 'xml' (choose from 'json', 'csv')"),
+])
+def test_malformed_variable_is_one_error_line(name, value, message, capsys):
+    # named as the variable it came from, with no usage text
+    code, out, err = run(capsys, ["table", "k"],
+                         env={"B2DUNKL_" + name: value})
+    assert (code, out) == (2, "")
+    assert err == f"b2dunkl: error: B2DUNKL_{name}: {message}\n"
+
+
+def _run_child(code):
+    package_root = os.path.dirname(os.path.dirname(b2dunkl.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [package_root] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          env=env, text=True, check=True)
+    return proc.stdout
 
 
 def test_import_loads_no_dataclasses_inspect_ast_or_csv():
     # these cost milliseconds at every start; no command needs them
-    package_root = os.path.dirname(os.path.dirname(b2dunkl.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [package_root] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     code = ("import sys; before = set(sys.modules); import b2dunkl.cli; "
             "print(sorted({'dataclasses', 'inspect', 'ast', 'csv'} "
             "& (set(sys.modules) - before)))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          env=env, text=True, check=True)
-    assert proc.stdout == "[]\n"
+    assert _run_child(code) == "[]\n"
+
+
+def test_import_builds_no_parser_and_a_process_builds_one():
+    code = ("import argparse, os; built = []; "
+            "init = argparse.ArgumentParser.__init__; "
+            "argparse.ArgumentParser.__init__ = "
+            "lambda self, *a, **k: built.append(1) or init(self, *a, **k); "
+            "import b2dunkl.cli as cli; at_import = len(built); "
+            "argv = ['prove', '--list', '--out', os.devnull]; "
+            "codes = [cli.main(argv, env={}) for _ in range(3)]; "
+            "print(at_import, codes, cli._parser.cache_info().misses)")
+    assert _run_child(code) == "0 [0, 0, 0] 1\n"
 
 
 def test_shared_parser_gives_the_bytes_of_a_fresh_one(capsys, monkeypatch):
-    # one process runs the commands in order on the cached parsers; each
+    # one process runs the commands in order on its one parser; each
     # gives the bytes of the same command on a parser built afresh
     steps = [
         (["verify", "--suite", "rho1", "--max-degree", "1"], {}),
@@ -224,26 +274,23 @@ def test_shared_parser_gives_the_bytes_of_a_fresh_one(capsys, monkeypatch):
     ]
 
     def replay(fresh):
-        outcomes, misses = [], []
+        outcomes = []
         for argv, env in steps:
             # argparse reads COLUMNS from the process environment
             monkeypatch.setenv("COLUMNS", env.get("COLUMNS", "80"))
             if fresh:
-                cli._parser_for.cache_clear()
+                cli._parser.cache_clear()
             try:
                 code = main(argv, env=env)
             except SystemExit as exc:
                 code = exc.code
             captured = capsys.readouterr()
             outcomes.append((code, captured.out, captured.err))
-            misses.append(cli._parser_for.cache_info().misses)
-        return outcomes, misses
+        return outcomes
 
-    cli._parser_for.cache_clear()
-    shared, misses = replay(fresh=False)
-    assert replay(fresh=True)[0] == shared
-    # COLUMNS is not part of the key: the last two commands share a parser
-    assert misses[-1] == misses[-2]
+    cli._parser.cache_clear()
+    shared = replay(fresh=False)
+    assert replay(fresh=True) == shared
     codes = [code for code, _, _ in shared]
     assert codes == [0, 0, 0, 0, 2, 0, 0, 0, 0, 2, 2]
     suites = [[s["suite"] for s in json.loads(shared[i][1])["suites"]]
@@ -461,6 +508,40 @@ def test_apply_poly_input(capsys):
     # J z = (1 + gamma) z with gamma = 2 k0 + 2 k1 = 136/77
     assert blob["result"]["terms"] == [
         {"exp": [1], "re": "213/77", "im": "0/1"}]
+
+
+_RE_INT = ('{"vars": ["z"], "terms": '
+           '[{"exp": [1], "re": 1, "im": "0"}]}')
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["apply", "--op", "T", "--poly", _RE_INT],
+     "bad polynomial JSON: not an exact rational literal: 1"),
+    (["apply", "--op", "T", "--poly", '{"vars": ["z"], "terms": '
+      '[{"exp": [1], "re": "1", "im": null}]}'],
+     "bad polynomial JSON: not an exact rational literal: None"),
+    (["apply", "--op", '{"op": "mul", "poly": ' + _RE_INT + "}",
+      "--label", "1,0"], "not an exact rational literal: 1)"),
+    (["prove", "--identity",
+      '{"lhs": {"op": "mul", "poly": ' + _RE_INT + "}}"],
+     "bad identity JSON: not an exact rational literal: 1"),
+    (["apply", "--op", "T", "--poly", '{"vars": ["z"], "terms": '
+      '[{"exp": [true], "re": "1", "im": "0"}]}'],
+     "bad polynomial JSON: exponents must be nonnegative integers, "
+     "not [True]"),
+    (["apply", "--op", "T", "--poly", '{"vars": "zb", "terms": '
+      '[{"exp": [1, 0], "re": "1", "im": "0"}]}'],
+     "bad polynomial JSON: vars must be a list of variable names"),
+], ids=["re-int", "im-null", "op-mul", "prove-lhs",
+        "bool-exponent", "string-vars"])
+def test_malformed_polynomial_json_exits_two(argv, message, capsys):
+    # a value of the wrong JSON type is a configuration error, never a
+    # crash that exits 1 like a refutation
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("b2dunkl: error: ")
+    assert err.endswith(message + "\n")
 
 
 def test_apply_negative_exponent_exits_two(capsys):

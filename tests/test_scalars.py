@@ -95,6 +95,13 @@ def test_parse_and_format_round_trip():
         parse_rat("1/0")
 
 
+@pytest.mark.parametrize("value", [1, None, 0.5, [1], True])
+def test_parse_rat_rejects_a_non_string(value):
+    # JSON readers pass whatever a document holds
+    with pytest.raises(ValueError, match="not an exact rational literal"):
+        parse_rat(value)
+
+
 def test_real_values_hash_like_equal_rationals():
     assert QI(3) == 3 and hash(QI(3)) == hash(3)
     assert {3: "x"}.get(QI(3)) == "x"
