@@ -6,13 +6,14 @@ suites, the 19 catalogued proofs, the benchmark's table-sweep command
 lines of seeds 1-3, JSON operator commands, every CSV output, each form
 of `prove --identity`, squared-norm tables up to degree 40, the default
 and comma-separated suite lists, the configuration errors that exit 2
-(malformed polynomial JSON among them) and settings read from the
-environment, one of them malformed and one overridden by its flag.  It
-also pins the hatted components Hhat_1 and Hhat_3, which no suite applies,
-a hatted operator on a polynomial with spectator variables, and a table
-value above 10^30.  An entry may carry an ``env`` dict, the environment its
-command runs with (empty when absent).  A refactor
-that must keep outputs byte-identical regenerates nothing:
+(malformed polynomial JSON among them), images that `apply --expand` finds
+outside their level, a malformed zero term, a JSON `--op` that fails to
+build, and settings read from the environment, one of them malformed and
+one overridden by its flag.  It also pins the hatted components Hhat_1 and
+Hhat_3, which no suite applies, a hatted operator on a polynomial with
+spectator variables, and a table value above 10^30.  An entry may carry an
+``env`` dict, the environment its command runs with (empty when absent).
+A refactor that must keep outputs byte-identical regenerates nothing:
 `tests/test_golden.py` replays the committed manifest.  Regenerate it
 only when an output is meant to change:
 
@@ -65,6 +66,16 @@ INTEGER_COEFFICIENT = {"vars": ["z"], "terms": [
     {"exp": [1], "re": 1, "im": "0"}]}
 BOOLEAN_EXPONENT = {"vars": ["z"], "terms": [
     {"exp": [True], "re": "1", "im": "0"}]}
+# the level test of apply --expand: z^2 + z mixes two degrees, and z zb has
+# the right degree and parity but lies outside the degree-2 level
+Z2_PLUS_Z = {"vars": ["z"], "terms": [
+    {"exp": [2], "re": "1", "im": "0"}, {"exp": [1], "re": "1", "im": "0"}]}
+IDENTITY_MUL = {"op": "mul", "poly": {"vars": [], "terms": [
+    {"exp": [], "re": "1", "im": "0"}]}}
+Z_ZB = {"vars": ["z", "zb"], "terms": [{"exp": [1, 1], "re": "1", "im": "0"}]}
+# a zero term whose exponent lists more variables than vars
+ZERO_TERM_BAD_ARITY = {"vars": ["z"], "terms": [
+    {"exp": [1, 2, 3], "re": "0", "im": "0"}]}
 # spectator variables u, k0, which every Dunkl step treats as constants
 SPECTATOR_POLY = {"vars": ["z", "zb", "u", "k0"], "terms": [
     {"exp": [3, 1, 1, 0], "re": "2/3", "im": "-1/5"},
@@ -137,7 +148,16 @@ def commands() -> List[List[str]]:
                ["apply", "--op", "T", "--poly",
                 json.dumps(NEGATIVE_EXPONENT)]]
             + [["apply", "--op", "T", "--poly", json.dumps(poly)]
-               for poly in (INTEGER_COEFFICIENT, BOOLEAN_EXPONENT)])
+               for poly in (INTEGER_COEFFICIENT, BOOLEAN_EXPONENT)]
+            + [["apply", "--op", "J", "--poly", json.dumps(Z2_PLUS_Z),
+                "--expand"],
+               ["apply", "--op", json.dumps(IDENTITY_MUL), "--poly",
+                json.dumps(Z_ZB), "--expand"],
+               ["apply", "--op", "T", "--poly",
+                json.dumps(ZERO_TERM_BAD_ARITY)],
+               ["apply", "--op", json.dumps({"op": "mul",
+                                             "poly": INTEGER_COEFFICIENT}),
+                "--label", "1,0"]])
 
 
 # commands run with settings from the environment: (env, argv)

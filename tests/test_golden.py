@@ -6,7 +6,7 @@ import golden_manifest
 
 def test_golden_manifest_replays_byte_identically():
     entries = golden_manifest.load()
-    assert len(entries) == 143
+    assert len(entries) == 147
     changed = []
     for want in entries:
         got = golden_manifest.entry(want["argv"], want.get("env"))
