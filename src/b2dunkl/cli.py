@@ -350,12 +350,14 @@ def _cmd_apply(args) -> int:
     else:
         try:
             op_blob = json.loads(args.op)
-            expr = expr_from_json(op_blob)
-        except (json.JSONDecodeError, KeyError, ValueError,
-                TypeError) as exc:
+        except json.JSONDecodeError as exc:
             raise ConfigError(
                 f"--op must be one of {', '.join(OPERATOR_NAMES)} or an "
                 f"operator JSON expression ({exc})") from None
+        try:
+            expr = expr_from_json(op_blob)
+        except (KeyError, ValueError, TypeError) as exc:
+            raise ConfigError(f"bad operator JSON: {exc}") from None
     if args.label is not None:
         label = parse_label(args.label)
         params.require_generic(label.degree)

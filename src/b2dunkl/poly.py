@@ -62,14 +62,14 @@ class MPoly:
 
         merged: Dict[Exponent, QI] = {}
         for exp, c in (terms or {}).items():
+            if len(exp) != len(names):
+                raise ValueError("exponent arity mismatch")
             if not all(type(e) is int and e >= 0 for e in exp):
                 raise ValueError(f"exponents must be nonnegative integers, "
                                  f"not {list(exp)}")
             c = QI.of(c)
             if not c:
                 continue
-            if len(exp) != len(names):
-                raise ValueError("exponent arity mismatch")
             key = list(_CONST)
             for i, e in zip(pos, exp):
                 key[i] = e

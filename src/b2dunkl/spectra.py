@@ -5,16 +5,19 @@ predictions those tables are checked against.
 Every operator that commutes with the oscillator Hamiltonian maps the span
 of one energy level into itself, so its action is a finite exact matrix per
 total degree.  The computed tables come from applying the operator and
-solving an exact linear system; the predicted tables are rational closed
-forms in the tower index n and chain position j.  The two are compared
-entry by entry elsewhere; here both sides are merely constructed.
+expanding the image in the level's basis.  A level element is fixed by its
+top-degree part, so the expansion solves one square system in the top-degree
+coefficients and then checks that the basis combination it gives rebuilds
+the image exactly.  The predicted tables are rational closed forms in the
+tower index n and chain position j.  The two are compared entry by entry
+elsewhere; here both sides are merely constructed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .basis import (BasisLabel, energy, enumerate_basis, norm, psi,
                     seed_norm_rel)
@@ -42,49 +45,41 @@ def parse_label(text: str) -> BasisLabel:
 # ---- expansion in one energy level ---------------------------------------
 
 
-def _monomial_grid(degree: int) -> List[Tuple[int, int]]:
-    """Monomial exponents reachable inside one energy level, graded order."""
-    grid = []
-    for d in range(degree, -1, -2):
-        for a in range(d, -1, -1):
-            grid.append((a, d - a))
-    return grid
-
-
 @lru_cache(maxsize=None)
-def _level_solver(degree: int, params: Params):
-    labels = enumerate_basis(degree)
-    grid = _monomial_grid(degree)
-    index = {exp: i for i, exp in enumerate(grid)}
-    columns = [psi(lb, params) for lb in labels]
-    rows = [[col.coefficient({"z": a, "zb": b}) for col in columns]
-            for (a, b) in grid]
-    return index, LinearSolver(rows)
+def _level_solver(degree: int, params: Params) -> LinearSolver:
+    """Solver for the top-degree coefficients of the level's basis.
+
+    Each basis function is a harmonic seed times a Laguerre polynomial in
+    w z zb, so their top-degree parts, seed times (z zb)^j, are a basis of
+    the homogeneous polynomials of the level's degree.  Row a holds the
+    coefficients of z^a zb^(degree - a).  A singular block makes every
+    solve raise UnderdeterminedError.
+    """
+    return LinearSolver([
+        [psi(lb, params).coefficient({"z": a, "zb": degree - a})
+         for lb in enumerate_basis(degree)]
+        for a in range(degree, -1, -1)])
 
 
 def expand(p: MPoly, degree: int, params: Params) -> Dict[BasisLabel, QI]:
     """Exact coordinates of p in the basis of the given energy level.
 
-    Raises NotInSpanError if p does not lie in the level (wrong parity,
-    too high degree, or simply not an eigenspace element).
+    A level element is fixed by its top-degree part: the coordinates solve
+    the top-degree block, and p lies in the level exactly when the
+    combination they give rebuilds p.  Raises NotInSpanError otherwise
+    (wrong parity, too high degree, or simply not an eigenspace element).
     """
     for v in p.vars:
         if v not in ("z", "zb"):
             raise ValueError(f"not a coordinate polynomial: contains {v!r}")
-    index, solver = _level_solver(degree, params)
-    rhs = [QI(0)] * len(index)
-    for exp, c in p.terms.items():
-        key = exp[:2]
-        if key not in index:
-            raise NotInSpanError(
-                f"monomial z^{key[0]} zb^{key[1]} is outside the "
-                f"degree-{degree} level")
-        rhs[index[key]] = c
-    coords = solver.solve(rhs)
-    out: Dict[BasisLabel, QI] = {}
-    for lb, c in zip(enumerate_basis(degree), coords):
-        if c:
-            out[lb] = c
+    coords = _level_solver(degree, params).solve(
+        [p.coefficient({"z": a, "zb": degree - a})
+         for a in range(degree, -1, -1)])
+    out = {lb: c for lb, c in zip(enumerate_basis(degree), coords) if c}
+    rebuilt = sum((c * psi(lb, params) for lb, c in out.items()),
+                  MPoly.zero())
+    if rebuilt != p:
+        raise NotInSpanError(f"not an element of the degree-{degree} level")
     return out
 
 

@@ -521,7 +521,8 @@ _RE_INT = ('{"vars": ["z"], "terms": '
       '[{"exp": [1], "re": "1", "im": null}]}'],
      "bad polynomial JSON: not an exact rational literal: None"),
     (["apply", "--op", '{"op": "mul", "poly": ' + _RE_INT + "}",
-      "--label", "1,0"], "not an exact rational literal: 1)"),
+      "--label", "1,0"],
+     "bad operator JSON: not an exact rational literal: 1"),
     (["prove", "--identity",
       '{"lhs": {"op": "mul", "poly": ' + _RE_INT + "}}"],
      "bad identity JSON: not an exact rational literal: 1"),
@@ -532,8 +533,11 @@ _RE_INT = ('{"vars": ["z"], "terms": '
     (["apply", "--op", "T", "--poly", '{"vars": "zb", "terms": '
       '[{"exp": [1, 0], "re": "1", "im": "0"}]}'],
      "bad polynomial JSON: vars must be a list of variable names"),
+    (["apply", "--op", "T", "--poly", '{"vars": ["z"], "terms": '
+      '[{"exp": [1, 2, 3], "re": "0", "im": "0"}]}'],
+     "bad polynomial JSON: exponent arity mismatch"),
 ], ids=["re-int", "im-null", "op-mul", "prove-lhs",
-        "bool-exponent", "string-vars"])
+        "bool-exponent", "string-vars", "zero-term-arity"])
 def test_malformed_polynomial_json_exits_two(argv, message, capsys):
     # a value of the wrong JSON type is a configuration error, never a
     # crash that exits 1 like a refutation
@@ -584,9 +588,41 @@ def test_apply_requires_exactly_one_input(capsys):
 
 
 def test_apply_unknown_operator_exits_two(capsys):
+    # an argument that is neither a registry name nor JSON
     code, _, err = run(capsys, ["apply", "--op", "Zeta", "--label", "1,0"])
     assert code == 2
-    assert "operator" in err
+    names = ", ".join(operators.OPERATOR_NAMES)
+    assert err.startswith(f"b2dunkl: error: --op must be one of {names} or "
+                          "an operator JSON expression (")
+
+
+@pytest.mark.parametrize("op, reason", [
+    ('{"op": "dunkl", "var": "x"}', "Dunkl direction must be z or zb"),
+    ('{"op": "dunkl"}', "'var'"),
+    ('{"op": "nope"}', "unknown operator node 'nope'"),
+], ids=["bad-direction", "no-direction", "unknown-node"])
+def test_json_op_that_fails_to_build_names_its_reason(op, reason, capsys):
+    # well-formed JSON is an operator expression; the list of registry
+    # names is for an argument that is neither a name nor JSON
+    code, out, err = run(capsys, ["apply", "--op", op, "--label", "1,0"])
+    assert (code, out) == (2, "")
+    assert err == f"b2dunkl: error: bad operator JSON: {reason}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--op", "J", "--poly", '{"vars": ["z"], "terms": [{"exp": [2], '
+     '"re": "1", "im": "0"}, {"exp": [1], "re": "1", "im": "0"}]}'],
+    ["--op", '{"op": "mul", "poly": {"vars": [], "terms": '
+     '[{"exp": [], "re": "1", "im": "0"}]}}', "--poly",
+     '{"vars": ["z", "zb"], "terms": [{"exp": [1, 1], "re": "1", '
+     '"im": "0"}]}'],
+], ids=["mixed-degree", "right-degree"])
+def test_image_outside_its_level_is_one_error_line(argv, capsys):
+    # whether a monomial is out of reach or the top-degree part rebuilds
+    # another polynomial, the message names the level only
+    code, out, err = run(capsys, ["apply", *argv, "--expand"])
+    assert (code, out) == (2, "")
+    assert err == "b2dunkl: error: not an element of the degree-2 level\n"
 
 
 def test_apply_unknown_group_element_exits_two(capsys):

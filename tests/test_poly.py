@@ -47,6 +47,12 @@ def test_repeated_variable_and_arity_mismatch_rejected():
         MPoly(("z", "zb"), {(1,): 1})
 
 
+def test_zero_term_with_wrong_arity_rejected():
+    # a zero coefficient is dropped only after its exponent is checked
+    with pytest.raises(ValueError, match="arity mismatch"):
+        MPoly(("z",), {(1, 2, 3): 0})
+
+
 def test_polynomials_refuse_assignment():
     with pytest.raises(AttributeError, match="immutable"):
         Z.terms = {}

@@ -5,7 +5,9 @@ import json
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import level_oracle
 from b2dunkl.basis import BasisLabel, enumerate_basis, psi
 from b2dunkl.operators import apply_named
 from b2dunkl.params import DEFAULT_PARAMS as P
@@ -13,13 +15,17 @@ from b2dunkl.params import EXTRA_PARAM_SETS, Params
 from b2dunkl.poly import MPoly
 from b2dunkl.scalars import QI
 from b2dunkl.spectra import (
-    NotInSpanError, adjudicate_mirror_diagonals, expand, h0_shifted_expansion,
+    NotInSpanError, _level_solver, adjudicate_mirror_diagonals, expand,
+    h0_shifted_expansion,
     h0_table, j2_table, k_table, khat_expansion, label_str, norm_table,
     parse_label, predicted_h0, predicted_k,
 )
 from norm_oracle import norm_ratio
 
 P2 = EXTRA_PARAM_SETS[0]
+# the high-height triple of the benchmark's table sweep and ROADMAP
+HIGH = Params(Q(9973, 10007), Q(7919, 8081), Q(4999, 5003))
+TRIPLES = (P,) + EXTRA_PARAM_SETS + (HIGH,)
 
 
 def test_expand_recovers_basis_coordinates():
@@ -46,6 +52,59 @@ def test_expand_rejects_outsiders():
     # right parity and degree but not an eigenspace element
     with pytest.raises(NotInSpanError):
         expand(z ** 2, 4, P)
+
+
+@pytest.mark.parametrize("params", TRIPLES, ids=lambda p: p.label())
+def test_top_degree_block_has_full_rank(params):
+    # the top-degree parts of a level's basis are a basis of the
+    # homogeneous polynomials of its degree
+    for deg in range(17):
+        assert _level_solver(deg, params).rank == deg + 1
+
+
+gaussian = st.builds(QI, st.fractions(-9, 9, max_denominator=8),
+                     st.fractions(-9, 9, max_denominator=8))
+
+
+def _monomial(a, b):
+    return MPoly(("z", "zb"), {(a, b): 1})
+
+
+@st.composite
+def level_candidates(draw):
+    """(polynomial, degree, params): a combination of one level's basis
+    functions, perhaps with one monomial added that may leave the level."""
+    deg = draw(st.integers(0, 8))
+    params = draw(st.sampled_from(TRIPLES))
+    p = MPoly.zero()
+    for lb in enumerate_basis(deg):
+        p = p + draw(gaussian) * psi(lb, params)
+    # the degrees a monomial of each kind may have
+    kinds = {"same degree": [deg],
+             "lower degree": list(range(deg - 2, -1, -2)),
+             "degree N + 1": [deg + 1],
+             "wrong parity": list(range(deg - 1, -1, -2)) + [deg + 1]}
+    kind = draw(st.sampled_from([None] + sorted(k for k in kinds if kinds[k])))
+    if kind is not None:
+        d = draw(st.sampled_from(kinds[kind]))
+        a = draw(st.integers(0, d))
+        c = draw(gaussian.filter(bool))
+        p = p + c * _monomial(a, d - a)
+    return p, deg, params
+
+
+@given(level_candidates())
+@settings(max_examples=60, deadline=None)
+def test_expand_agrees_with_the_whole_level_oracle(case):
+    p, deg, params = case
+    try:
+        want = level_oracle.expand(p, deg, params)
+    except NotInSpanError:
+        with pytest.raises(NotInSpanError,
+                           match=f"not an element of the degree-{deg} level"):
+            expand(p, deg, params)
+    else:
+        assert expand(p, deg, params) == want
 
 
 @pytest.mark.parametrize("predict", [predicted_h0, predicted_k])
