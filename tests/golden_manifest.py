@@ -6,13 +6,14 @@ suites, the 19 catalogued proofs, the benchmark's table-sweep command
 lines of seeds 1-3, JSON operator commands, every CSV output, each form
 of `prove --identity`, squared-norm tables up to degree 40, the default
 and comma-separated suite lists, the configuration errors that exit 2
-(malformed polynomial JSON among them), images that `apply --expand` finds
-outside their level, a malformed zero term, a JSON `--op` that fails to
-build, and settings read from the environment, one of them malformed and
-one overridden by its flag.  It also pins the hatted components Hhat_1 and
-Hhat_3, which no suite applies, a hatted operator on a polynomial with
-spectator variables, and a table value above 10^30.  An entry may carry an
-``env`` dict, the environment its command runs with (empty when absent).
+(malformed polynomial JSON among them), images that `apply --expand`
+finds outside their level, a malformed zero term, JSON `--op`
+expressions that fail to build, a JSON group element, and settings read
+from the environment, one of them malformed and one overridden by its
+flag.  It also pins the hatted components Hhat_1 and Hhat_3, which no
+suite applies, a hatted operator on a polynomial with spectator
+variables, and a table value above 10^30.  An entry may carry an ``env``
+dict, the environment its command runs with (empty when absent).
 A refactor that must keep outputs byte-identical regenerates nothing:
 `tests/test_golden.py` replays the committed manifest.  Regenerate it
 only when an output is meant to change:
@@ -157,7 +158,14 @@ def commands() -> List[List[str]]:
                 json.dumps(ZERO_TERM_BAD_ARITY)],
                ["apply", "--op", json.dumps({"op": "mul",
                                              "poly": INTEGER_COEFFICIENT}),
-                "--label", "1,0"]])
+                "--label", "1,0"]]
+            # operator JSON that is not an object, lacks a key or has
+            # parts that are not a list, and a JSON group element
+            + [["apply", "--op", op, "--label", "1,0"]
+               for op in ("5", '{"op": "dunkl"}',
+                          '{"op": "sum", "parts": 5}')]
+            + [["apply", "--op", '{"op": "group", "element": "ref1"}',
+                "--label", "2,1"]])
 
 
 # commands run with settings from the environment: (env, argv)
