@@ -55,23 +55,17 @@ _UB = MPoly.var("ub")
 _W = MPoly.var("w")
 
 
-class KernelState:
+class KernelState(Record):
     """Group-indexed family of amplitudes; zero amplitudes are dropped.
     Do not mutate ``parts``: the seed state and memoised images are shared
-    by the proofs of a scope."""
+    by the proofs of a scope.  Its amplitudes do not hash, so neither does
+    a state; compare states with ==."""
 
     __slots__ = ("parts",)
 
     def __init__(self, parts: Optional[Mapping[GroupElem, MPoly]] = None):
-        clean: Dict[GroupElem, MPoly] = {}
-        if parts:
-            for g, p in parts.items():
-                if not p.is_zero():
-                    clean[g] = p
-        object.__setattr__(self, "parts", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("KernelState is immutable")
+        Record.__init__(self, {g: p for g, p in (parts or {}).items()
+                               if not p.is_zero()})
 
     def is_zero(self) -> bool:
         return not self.parts
@@ -79,14 +73,6 @@ class KernelState:
     def items(self) -> Iterable[Tuple[GroupElem, MPoly]]:
         # keys are distinct, so GroupElem's (refl, k) order decides
         return sorted(self.parts.items())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, KernelState):
-            return NotImplemented
-        return self.parts == other.parts
-
-    def __hash__(self):
-        raise TypeError("unhashable; compare with ==")
 
     def __add__(self, other: "KernelState") -> "KernelState":
         acc = dict(self.parts)

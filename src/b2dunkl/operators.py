@@ -382,20 +382,36 @@ def apply_named(name: str, p: MPoly, params: Params) -> MPoly:
 # ---- serialization ------------------------------------------------------
 
 def expr_from_json(obj: dict) -> Expr:
+    """Build an operator tree from its JSON form.  A malformed node raises
+    ValueError naming the node kind and what it lacks."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"operator node must be a JSON object, not {obj!r}")
+    if "op" not in obj:
+        raise ValueError("operator node lacks 'op'")
     kind = obj["op"]
+
+    def field(key: str):
+        if key not in obj:
+            raise ValueError(f"{kind} node lacks {key!r}")
+        return obj[key]
+
     if kind == "dunkl":
         # the registry generator, so that its images are shared
-        return T if Dunkl(obj["var"]) == T else TB
+        return T if Dunkl(field("var")) == T else TB
     if kind == "mul":
-        return Mul(MPoly.from_json_dict(obj["poly"]))
+        return Mul(MPoly.from_json_dict(field("poly")))
     if kind == "group":
-        return GroupOp(parse_elem(obj["element"]))
-    if kind == "sum":
-        return Sum(tuple(expr_from_json(e) for e in obj["parts"]))
-    if kind == "compose":
-        return Compose(tuple(expr_from_json(e) for e in obj["parts"]))
+        return GroupOp(parse_elem(field("element")))
+    if kind in ("sum", "compose"):
+        parts = field("parts")
+        if not isinstance(parts, list):
+            raise ValueError(f"{kind} node's 'parts' must be a list, "
+                             f"not {parts!r}")
+        return (Sum if kind == "sum" else Compose)(
+            tuple(expr_from_json(e) for e in parts))
     if kind == "commutator":
-        return Commutator(expr_from_json(obj["a"]), expr_from_json(obj["b"]))
+        return Commutator(expr_from_json(field("a")),
+                          expr_from_json(field("b")))
     if kind == "named":
-        return named(obj["name"])
+        return named(field("name"))
     raise ValueError(f"unknown operator node {kind!r}")

@@ -1,18 +1,22 @@
 """Value classes written by hand over ``__slots__``.
 
-The operator-tree nodes, group elements, basis labels, parameter triples
-and reports are plain records: a fixed tuple of fields, equality and hash
-over those fields, and a constructor-style repr.  `Record` derives all of
-that from the concrete class's own ``__slots__``, which name its fields in
-constructor order, so the package needs no class decorator that generates
-methods at import.  Records are immutable, except `Mutable` ones, which
-are unhashable.
+The operator-tree nodes, group elements, basis labels, parameter triples,
+prover states and reports are plain records: a fixed tuple of fields,
+equality and hash over those fields, and a constructor-style repr.
+`Record` derives all of that from the concrete class's own ``__slots__``,
+which name its fields in constructor order, so the package needs no class
+decorator that generates methods at import.  One rule holds for every
+record: it is immutable, and it hashes exactly when its fields do, so a
+record holding a list or a dict is unhashable.
 
 `Keyed` records (the memo keys) compare and hash one value cached at
-construction; `Ordered` ones also order by it.
+construction; `Ordered` ones also order by it, with `functools` deriving
+the other comparisons from ``<`` (a module already loaded at start-up).
 """
 
 from __future__ import annotations
+
+from functools import total_ordering
 
 
 class Record:
@@ -51,14 +55,6 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-class Mutable(Record):
-    """A record whose fields can be reassigned; unhashable, like a list."""
-    __slots__ = ()
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
-
-
 class Keyed(Record):
     """A record compared and hashed by the value ``_key`` that its
     constructor passes to `_keep`, for the classes that key the memos."""
@@ -77,6 +73,7 @@ class Keyed(Record):
         return self._hash
 
 
+@total_ordering
 class Ordered(Keyed):
     """A keyed record ordered lexicographically on its fields, which its
     ``_key`` tuple lists in order."""
@@ -84,16 +81,4 @@ class Ordered(Keyed):
 
     def __lt__(self, other):
         return (self._key < other._key
-                if other.__class__ is self.__class__ else NotImplemented)
-
-    def __le__(self, other):
-        return (self._key <= other._key
-                if other.__class__ is self.__class__ else NotImplemented)
-
-    def __gt__(self, other):
-        return (self._key > other._key
-                if other.__class__ is self.__class__ else NotImplemented)
-
-    def __ge__(self, other):
-        return (self._key >= other._key
                 if other.__class__ is self.__class__ else NotImplemented)

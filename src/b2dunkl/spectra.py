@@ -25,7 +25,7 @@ from .linsolve import LinearSolver, NotInSpanError
 from .operators import apply_named
 from .params import Params
 from .poly import MPoly
-from .record import Mutable
+from .record import Record
 from .scalars import QI, format_rat
 
 
@@ -121,7 +121,7 @@ def j2_expansion(label: BasisLabel,
 # ---- coefficient tables ----------------------------------------------------
 
 
-class CoeffTable(Mutable):
+class CoeffTable(Record):
     # entries[source][target]: the coefficient of basis state target in the
     # image of basis state source
     __slots__ = ("operator", "degree", "params", "entries")

@@ -18,7 +18,7 @@ from .kernel import IDENTITIES, IDENTITY_NAMES, image_scope, prove_named
 from .operators import apply_named
 from .params import DEFAULT_PARAMS, EXTRA_PARAM_SETS, Params
 from .poly import MPoly
-from .record import Mutable, Record
+from .record import Record
 from .scalars import QI, format_rat
 from .spectra import (E1_DIAG_VARIANT, E2_DIAG_VARIANT,
                       adjudicate_mirror_diagonals, expand,
@@ -39,7 +39,7 @@ class Case(Record):
                 "detail": self.detail}
 
 
-class SuiteReport(Mutable):
+class SuiteReport(Record):
     __slots__ = ("suite", "max_degree", "params", "cases")
 
     @property

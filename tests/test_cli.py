@@ -9,10 +9,11 @@ import sys
 import pytest
 
 import b2dunkl
-from b2dunkl import basis, cli, kernel, operators, spectra, verify
+from b2dunkl import cli, operators, verify
 from b2dunkl.cli import main
 from b2dunkl.poly import ExactDivisionError, MPoly
 from division_oracle import direct_dunkl
+from memos import clear_memos
 
 Z = MPoly.var("z")
 ZB = MPoly.var("zb")
@@ -341,15 +342,11 @@ def test_memoised_dunkl_report_matches_direct_quotient(capsys, monkeypatch):
     # direct difference quotient, each from cold caches
     argv = ["verify", "--suite", "k", "--max-degree", "4"]
     memo = operators._monomial_image
-    caches = (memo, operators.monomial_quotients, spectra._level_solver,
-              spectra.h0_shifted_expansion, spectra.khat_image,
-              spectra.khat_expansion, spectra.j2_expansion)
     outputs, memo_sizes = [], []
     for direct in (False, True):
         if direct:
             monkeypatch.setattr(operators, "apply_dunkl", direct_dunkl)
-        for cache in caches:
-            cache.cache_clear()
+        clear_memos()
         code, out, _ = run(capsys, argv)
         assert code == 0
         outputs.append(out)
@@ -361,12 +358,6 @@ def test_memoised_dunkl_report_matches_direct_quotient(capsys, monkeypatch):
 def test_cold_memos_fill_without_division(capsys, monkeypatch):
     # every Dunkl memo fills from the closed-form quotients: from cold
     # caches, the same commands give the same bytes with division disabled
-    def clear_memos():
-        for mod in (basis, kernel, operators, spectra, verify):
-            for obj in vars(mod).values():
-                if hasattr(obj, "cache_clear"):
-                    obj.cache_clear()
-
     def no_division(self, divisor):
         raise AssertionError("a Dunkl memo fill divided")
 
@@ -596,17 +587,41 @@ def test_apply_unknown_operator_exits_two(capsys):
                           "an operator JSON expression (")
 
 
-@pytest.mark.parametrize("op, reason", [
+# operator JSON that fails to build, and the reason it is refused for
+MALFORMED_OPS = [
     ('{"op": "dunkl", "var": "x"}', "Dunkl direction must be z or zb"),
-    ('{"op": "dunkl"}', "'var'"),
+    ('{"op": "dunkl"}', "dunkl node lacks 'var'"),
     ('{"op": "nope"}', "unknown operator node 'nope'"),
-], ids=["bad-direction", "no-direction", "unknown-node"])
+    ("5", "operator node must be a JSON object, not 5"),
+    ("[]", "operator node must be a JSON object, not []"),
+    ("{}", "operator node lacks 'op'"),
+    ('{"op": "sum", "parts": 5}', "sum node's 'parts' must be a list, not 5"),
+    ('{"op": "compose", "parts": [{"op": "dunkl", "var": "z"}, 5]}',
+     "operator node must be a JSON object, not 5"),
+    ('{"op": "commutator", "a": {"op": "named", "name": "J"}}',
+     "commutator node lacks 'b'"),
+]
+MALFORMED_IDS = ["bad-direction", "no-direction", "unknown-node",
+                 "not-an-object", "list", "no-kind", "parts-not-a-list",
+                 "part-not-an-object", "commutator-without-b"]
+
+
+@pytest.mark.parametrize("op, reason", MALFORMED_OPS, ids=MALFORMED_IDS)
 def test_json_op_that_fails_to_build_names_its_reason(op, reason, capsys):
     # well-formed JSON is an operator expression; the list of registry
     # names is for an argument that is neither a name nor JSON
     code, out, err = run(capsys, ["apply", "--op", op, "--label", "1,0"])
     assert (code, out) == (2, "")
     assert err == f"b2dunkl: error: bad operator JSON: {reason}\n"
+
+
+@pytest.mark.parametrize("op, reason", MALFORMED_OPS, ids=MALFORMED_IDS)
+def test_json_identity_that_fails_to_build_names_its_reason(op, reason,
+                                                            capsys):
+    code, out, err = run(capsys, ["prove", "--identity",
+                                  '{"lhs": %s}' % op])
+    assert (code, out) == (2, "")
+    assert err == f"b2dunkl: error: bad identity JSON: {reason}\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,10 +1,12 @@
 """The hand-written value classes: operator-tree nodes, group elements,
-basis labels, parameter triples, identities, proof results and reports.
+basis labels, parameter triples, identities, proof results, prover states
+and reports.
 
-Each keeps the behaviour a frozen (or, for the two reports, mutable)
-dataclass had: positional constructors with their validation, equality
-that is sensitive to class, hashes that agree with equality, lexicographic
-order on group elements and basis labels, and a constructor-style repr.
+Each keeps the behaviour a frozen dataclass had: positional constructors
+with their validation, equality that is sensitive to class, hashes that
+agree with equality (records holding a list or a dict do not hash),
+lexicographic order on group elements and basis labels, and a
+constructor-style repr.
 """
 
 from fractions import Fraction as Q
@@ -12,12 +14,15 @@ from fractions import Fraction as Q
 import pytest
 
 from b2dunkl.basis import BasisLabel, enumerate_basis
-from b2dunkl.group import ALL_ELEMENTS, GroupElem, elem_name
-from b2dunkl.kernel import Identity, ProofResult, ZERO_OP, k_initial
+from b2dunkl.group import (ALL_ELEMENTS, IDENTITY, GroupElem, elem_name,
+                           reflection)
+from b2dunkl.kernel import (Identity, KernelState, ProofResult, ZERO_OP,
+                            k_initial)
 from b2dunkl.operators import (Commutator, Compose, Dunkl, GroupOp, Mul, Sum,
                                named)
 from b2dunkl.params import DEFAULT_PARAMS, Params
 from b2dunkl.poly import MPoly
+from b2dunkl.record import Record
 from b2dunkl.spectra import CoeffTable
 from b2dunkl.verify import Case, SuiteReport
 
@@ -95,19 +100,24 @@ def test_frozen_records_refuse_assignment():
         DEFAULT_PARAMS._key = None
 
 
-def test_reports_stay_mutable_and_unhashable():
-    report = SuiteReport("rho1", 1, DEFAULT_PARAMS, [])
-    report.cases = [Case("c", False)]
-    assert not report.passed
+def test_reports_and_states_are_immutable_and_unhashable():
+    report = SuiteReport("rho1", 1, DEFAULT_PARAMS, [Case("c", False)])
     table = CoeffTable("quartic", 0, DEFAULT_PARAMS, {})
-    table.degree = 1
-    assert table == CoeffTable("quartic", 1, DEFAULT_PARAMS, {})
-    for obj in (report, table):
-        with pytest.raises(TypeError):
+    state = KernelState({reflection(1): Z + 1})
+    for obj, field in ((report, "cases"), (table, "degree"),
+                       (state, "parts")):
+        assert isinstance(obj, Record)
+        with pytest.raises(AttributeError):
+            setattr(obj, field, None)
+        with pytest.raises(AttributeError):
+            delattr(obj, field)
+        with pytest.raises(TypeError, match="unhashable"):
             hash(obj)
-    del table.entries
-    with pytest.raises(AttributeError):
-        table.entries
+    assert not report.passed
+    assert table == CoeffTable("quartic", 0, DEFAULT_PARAMS, {})
+    assert state == KernelState({reflection(1): 1 + Z,
+                                 IDENTITY: MPoly.zero()})
+    assert state != KernelState({reflection(2): Z + 1})
 
 
 def test_constructors_validate_and_normalise():

@@ -3,16 +3,17 @@ norm symmetry, and the non-commutation witness."""
 
 import json
 from fractions import Fraction as Q
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import level_oracle
-from b2dunkl.basis import BasisLabel, enumerate_basis, psi
+from b2dunkl.basis import BasisLabel, enumerate_basis, harmonic_seed, psi
 from b2dunkl.operators import apply_named
 from b2dunkl.params import DEFAULT_PARAMS as P
 from b2dunkl.params import EXTRA_PARAM_SETS, Params
-from b2dunkl.poly import MPoly
+from b2dunkl.poly import MPoly, from_terms
 from b2dunkl.scalars import QI
 from b2dunkl.spectra import (
     NotInSpanError, _level_solver, adjudicate_mirror_diagonals, expand,
@@ -100,6 +101,63 @@ def test_expand_agrees_with_the_whole_level_oracle(case):
             expand(p, deg, params)
     else:
         assert expand(p, deg, params) == want
+
+
+# ---- the top-degree slice: invariants the table and level-solve paths use
+
+
+def _top_slices(params):
+    """(label, j, m, top-degree part of psi) for every label of degree at
+    most 12, with j = min(a, b) and m = |a - b|."""
+    for deg in range(13):
+        for lb in enumerate_basis(deg):
+            top = {e: c for e, c in psi(lb, params).terms.items()
+                   if sum(e) == deg}
+            yield lb, min(lb.a, lb.b), abs(lb.a - lb.b), from_terms(top)
+
+
+@pytest.mark.parametrize("params", TRIPLES, ids=lambda p: p.label())
+def test_top_degree_part_is_the_seed_times_a_radial_power(params):
+    # the leading Laguerre coefficient is (-1)^j / j!
+    radial = -params.w * MPoly.var("z") * MPoly.var("zb")
+    for lb, j, _, top in _top_slices(params):
+        family, n, _ = lb.classify()
+        assert top == (harmonic_seed(family, n, params) * radial ** j
+                       * Q(1, factorial(j)))
+
+
+@pytest.mark.parametrize("params", TRIPLES, ids=lambda p: p.label())
+def test_top_degree_part_starts_at_its_chain_position(params):
+    # z^p zb^q with s = min(p, q): nothing below s = j, and at s = j only
+    # the two extreme monomials, which makes the top block triangular
+    for _, j, m, top in _top_slices(params):
+        for exp in top.terms:
+            p, q = exp[:2]
+            assert min(p, q) >= j
+            if min(p, q) == j:
+                assert (p, q) in ((j + m, j), (j, j + m))
+
+
+@st.composite
+def homogeneous(draw):
+    """(d, a homogeneous polynomial of degree d in z, zb)."""
+    d = draw(st.integers(0, 8))
+    coeffs = draw(st.dictionaries(st.integers(0, d), gaussian, min_size=1))
+    return d, MPoly(("z", "zb"), {(a, d - a): c for a, c in coeffs.items()})
+
+
+# the degree drops each table operator's image may show
+DEGREE_DROPS = {"Khat": {0, 2, 4}, "Hhat": {0, 2}, "Hhat_0": {0, 2},
+                "Hhat_2": {0, 2}, "J": {0}, "J2": {0}, "R": {0}}
+
+
+@given(homogeneous(), st.sampled_from(TRIPLES))
+@settings(max_examples=40, deadline=None)
+def test_table_operators_never_raise_degree(drawn, params):
+    d, p = drawn
+    for name, drops in DEGREE_DROPS.items():
+        image = apply_named(name, p, params)
+        assert {d - sum(e) for e in image.terms} <= drops, name
 
 
 @pytest.mark.parametrize("predict", [predicted_h0, predicted_k])

@@ -8,9 +8,14 @@ which run no code of their own.  Lines run only in a child process (the
 acceptance test starts one CLI process) are not seen.
 
     python tests/unreached.py [pytest args]
+    python tests/unreached.py --commands
 
 It takes about two minutes, which is why it is not part of the suite.
-The exit status is pytest's.
+The exit status is pytest's.  With ``--commands`` it runs no test:
+it replays every command of `tests/golden_manifest.json` in process and
+lists the statements that no command reaches, which is what a user of
+the command line can run.  Its exit status is 1 when a command's output
+differs from the manifest.
 """
 
 from __future__ import annotations
@@ -108,17 +113,32 @@ def unreached(seen: Dict[str, Set[int]]) -> List[Tuple[str, int]]:
     return out
 
 
+def _replay() -> int:
+    """Run each command of the golden manifest; 1 if any output changed."""
+    import golden_manifest
+    changed = [want["argv"] for want in golden_manifest.load()
+               if golden_manifest.entry(want["argv"], want.get("env")) != want]
+    for argv in changed:
+        print("changed: " + " ".join(argv)[:120], file=sys.stderr)
+    return int(bool(changed))
+
+
 def main(argv: List[str]) -> int:
     if any(m == "b2dunkl" or m.startswith("b2dunkl.") for m in sys.modules):
         raise SystemExit("b2dunkl was imported before tracing began")
-    import pytest
+    commands = argv[:1] == ["--commands"]
+    if commands and argv[1:]:
+        raise SystemExit("--commands takes no other arguments")
+    if not commands:
+        import pytest
 
     sys.path[:0] = [SRC, HERE]
     seen, tracer = _collector()
     threading.settrace(tracer)
     sys.settrace(tracer)
     try:
-        status = pytest.main(["-q", "-p", "no:cacheprovider", HERE] + argv)
+        status = (_replay() if commands else
+                  pytest.main(["-q", "-p", "no:cacheprovider", HERE] + argv))
     finally:
         sys.settrace(None)
         threading.settrace(None)
@@ -130,7 +150,8 @@ def main(argv: List[str]) -> int:
                 sources[path] = fh.read().splitlines()
         text = sources[path][line - 1].strip()
         print(f"{os.path.relpath(path, ROOT)}:{line}: {text}")
-    print(f"{len(missed)} statements of src/ never executed",
+    by = " by the golden commands" if commands else ""
+    print(f"{len(missed)} statements of src/ never executed{by}",
           file=sys.stderr)
     return int(status)
 
