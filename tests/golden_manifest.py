@@ -202,6 +202,13 @@ def load() -> List[dict]:
         return json.load(fh)["commands"]
 
 
+def changed() -> List[str]:
+    """Replay every entry; the commands, abridged, whose exit code or
+    output differs from their record."""
+    return [" ".join(want["argv"])[:120] for want in load()
+            if entry(want["argv"], want.get("env")) != want]
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--write", action="store_true",
