@@ -8,9 +8,10 @@ of `prove --identity`, squared-norm tables up to degree 40, the default
 and comma-separated suite lists, the configuration errors that exit 2
 (malformed polynomial JSON among them), images that `apply --expand`
 finds outside their level, a malformed zero term, JSON `--op`
-expressions that fail to build, a JSON group element, and settings read
-from the environment, one of them malformed and one overridden by its
-flag.  It also pins the hatted components Hhat_1 and Hhat_3, which no
+expressions that fail to build, a JSON group element, a polynomial and
+a group element of the wrong JSON type, an unknown named operator, and
+settings read from the environment, one of them malformed and one
+overridden by its flag.  It also pins the hatted components Hhat_1 and Hhat_3, which no
 suite applies, a hatted operator on a polynomial with spectator
 variables, and a table value above 10^30.  An entry may carry an ``env``
 dict, the environment its command runs with (empty when absent).
@@ -165,7 +166,13 @@ def commands() -> List[List[str]]:
                for op in ("5", '{"op": "dunkl"}',
                           '{"op": "sum", "parts": 5}')]
             + [["apply", "--op", '{"op": "group", "element": "ref1"}',
-                "--label", "2,1"]])
+                "--label", "2,1"]]
+            # a polynomial that is not an object or lacks its keys, a group
+            # element that is not a string, and an unknown named operator
+            + [["apply", "--op", "T", "--poly", poly] for poly in ("5", "{}")]
+            + [["apply", "--op", op, "--label", "1,0"]
+               for op in ('{"op": "group", "element": 5}',
+                          '{"op": "named", "name": "nope"}')])
 
 
 # commands run with settings from the environment: (env, argv)
