@@ -59,10 +59,10 @@ def elem_name(g: GroupElem) -> str:
 
 
 def parse_elem(name: str) -> GroupElem:
-    kind, knum = name[:3], name[3:]
-    if kind not in ("rot", "ref") or knum not in "0123" or len(knum) != 1:
+    if not (isinstance(name, str) and len(name) == 4
+            and name[:3] in ("rot", "ref") and name[3] in "0123"):
         raise ValueError(f"not a group element name: {name!r}")
-    return GroupElem(kind == "ref", int(knum))
+    return GroupElem(name[:3] == "ref", int(name[3]))
 
 
 def act(g: GroupElem, p: MPoly) -> MPoly:

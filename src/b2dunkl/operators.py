@@ -26,6 +26,13 @@ rule: a registry tree (a `named` operator, T and Tb among them) is
 applied once per input within one memo, and no other node is memoised.
 `apply` starts a fresh memo per top-level call; the prover's memo lives
 for one `kernel.image_scope`.
+
+Every registry operator is linear over the constants, so at numeric
+params a top-level `apply` of a registry tree other than T and Tb answers
+from images of single monomials z^a zb^b (`_image_table`), which every
+basis function and level element holding that monomial shares.  The
+monomials an input brings that the table lacks are imaged by one walk
+(`_fill_images`).
 """
 
 from __future__ import annotations
@@ -259,10 +266,62 @@ def visit(expr: Expr, x, params: Params, recurse, memo: dict):
     return hit[1]
 
 
+@lru_cache(maxsize=None)
+def _image_table(tree: int, params: Params) -> Dict[Tuple[int, int], Terms]:
+    """Images of the monomials z^a zb^b, keyed by (a, b), under the
+    registry tree with id `tree` at numeric params; filled by
+    `_fill_images`.  Registry trees live as long as the module, so their
+    ids stay valid."""
+    return {}
+
+
+# the tag u^a ub^b of z^a zb^b in `_fill_images` sits at these exponents
+_TAG = slice(2, 4)
+assert UNIVERSE[_TAG] == ("u", "ub")
+
+
+def _fill_images(expr: Expr, missing, params: Params,
+                 table: Dict[Tuple[int, int], Terms]) -> None:
+    """Add the images of the monomials (a, b) in `missing` to `table`
+    with one walk.
+
+    Each z^a zb^b is tagged u^a ub^b, and the image of the tagged sum is
+    split by its (u, ub) exponents.  That is sound because the
+    coefficients of a registry tree at numeric params hold only z and zb,
+    and both `act` and the Dunkl step leave u and ub alone.  One walk per
+    input keeps the number of walks what it was without the table; the
+    basis functions of one level share no monomial, so a walk per
+    monomial would multiply it.
+    """
+    tagged = from_terms({(a, b, a, b) + _NO_SPECTATORS[2:]: QI(1)
+                         for a, b in missing})
+    parts: Dict[Tuple[int, int], Dict[Exponent, QI]] = {
+        ab: {} for ab in missing}
+    image = evaluate(expr, tagged, params, apply, apply_dunkl, act, {})
+    for exp, c in image.terms.items():
+        parts[exp[_TAG]][exp[:2] + _NO_SPECTATORS] = c
+    for ab, terms in parts.items():
+        table[ab] = tuple(terms.items())
+
+
 def apply(expr: Expr, p: MPoly, params: Params, memo=None) -> MPoly:
-    """Apply an operator tree to a polynomial; a top-level call shares
-    registry images within a fresh memo, and a call from inside a walk
-    passes the walk's `memo`."""
+    """Apply an operator tree to a polynomial.
+
+    A top-level call of a registry tree other than T and Tb at numeric
+    params combines the per-monomial images of `_image_table`, each scaled
+    by its term's coefficient and spectator cofactor.  Any other top-level
+    call shares registry images within a fresh memo, and a call from
+    inside a walk passes the walk's `memo`.
+    """
+    if memo is None and id(expr) in _TABULATED and not params.is_symbolic:
+        table = _image_table(id(expr), params)
+        missing = [exp[:2] for exp in p.terms if exp[:2] not in table]
+        if missing:
+            _fill_images(expr, dict.fromkeys(missing), params, table)
+        out: Dict[Exponent, QI] = {}
+        for exp, c in p.terms.items():
+            add_scaled(out, c, exp[2:], table[exp[:2]])
+        return from_terms(out)
     return evaluate(expr, p, params, apply, apply_dunkl, act,
                     {} if memo is None else memo)
 
@@ -363,16 +422,22 @@ def _build_registry() -> Dict[str, Expr]:
 
 _REGISTRY = _build_registry()
 _REGISTRY_IDS = frozenset(map(id, _REGISTRY.values()))
+# T and Tb image monomials through `_monomial_image` already
+_TABULATED = _REGISTRY_IDS - {id(T), id(TB)}
 
 OPERATOR_NAMES = tuple(sorted(_REGISTRY))
+
+
+def _unknown_operator(name) -> str:
+    return (f"unknown operator {name!r}; available: "
+            + ", ".join(OPERATOR_NAMES))
 
 
 def named(name: str) -> Expr:
     try:
         return _REGISTRY[name]
     except KeyError:
-        raise KeyError(f"unknown operator {name!r}; available: "
-                       + ", ".join(OPERATOR_NAMES)) from None
+        raise KeyError(_unknown_operator(name)) from None
 
 
 def apply_named(name: str, p: MPoly, params: Params) -> MPoly:
@@ -413,5 +478,8 @@ def expr_from_json(obj: dict) -> Expr:
         return Commutator(expr_from_json(field("a")),
                           expr_from_json(field("b")))
     if kind == "named":
-        return named(field("name"))
+        name = field("name")
+        if isinstance(name, str) and name in _REGISTRY:
+            return _REGISTRY[name]
+        raise ValueError(_unknown_operator(name))
     raise ValueError(f"unknown operator node {kind!r}")

@@ -330,14 +330,28 @@ class MPoly:
 
     @classmethod
     def from_json_dict(cls, obj: Mapping) -> "MPoly":
-        if not isinstance(obj["vars"], list):
+        """Polynomial from its JSON form.  A malformed document raises
+        ValueError saying which part is wrong."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"polynomial must be a JSON object, not {obj!r}")
+        for key in ("vars", "terms"):
+            if key not in obj:
+                raise ValueError(f"polynomial lacks {key!r}")
+        names = obj["vars"]
+        if not (isinstance(names, list)
+                and all(isinstance(name, str) for name in names)):
             raise ValueError("vars must be a list of variable names")
-        names = tuple(obj["vars"])
+        if not isinstance(obj["terms"], list):
+            raise ValueError(f"terms must be a list, not {obj['terms']!r}")
         terms = {}
         for t in obj["terms"]:
-            exp = tuple(t["exp"])
-            terms[exp] = QI(parse_rat(t["re"]), parse_rat(t["im"]))
-        return cls(names, terms)
+            if not (isinstance(t, dict) and {"exp", "re", "im"} <= t.keys()
+                    and isinstance(t["exp"], list)):
+                raise ValueError(f"a term must be an object with an 'exp' "
+                                 f"list, 're' and 'im', not {t!r}")
+            terms[tuple(t["exp"])] = QI(parse_rat(t["re"]),
+                                        parse_rat(t["im"]))
+        return cls(tuple(names), terms)
 
     # ---- display --------------------------------------------------------
 

@@ -24,7 +24,7 @@ from .basis import (BasisLabel, energy, enumerate_basis, norm, psi,
 from .linsolve import LinearSolver, NotInSpanError
 from .operators import apply_named
 from .params import Params
-from .poly import MPoly
+from .poly import Exponent, MPoly, from_terms
 from .record import Record
 from .scalars import QI, format_rat
 
@@ -46,6 +46,13 @@ def parse_label(text: str) -> BasisLabel:
 
 
 @lru_cache(maxsize=None)
+def _level_basis(degree: int,
+                 params: Params) -> Tuple[Tuple[BasisLabel, MPoly], ...]:
+    """The level's labels, each with its basis function, built once."""
+    return tuple((lb, psi(lb, params)) for lb in enumerate_basis(degree))
+
+
+@lru_cache(maxsize=None)
 def _level_solver(degree: int, params: Params) -> LinearSolver:
     """Solver for the top-degree coefficients of the level's basis.
 
@@ -55,9 +62,9 @@ def _level_solver(degree: int, params: Params) -> LinearSolver:
     coefficients of z^a zb^(degree - a).  A singular block makes every
     solve raise UnderdeterminedError.
     """
+    basis = _level_basis(degree, params)
     return LinearSolver([
-        [psi(lb, params).coefficient({"z": a, "zb": degree - a})
-         for lb in enumerate_basis(degree)]
+        [f.coefficient({"z": a, "zb": degree - a}) for _, f in basis]
         for a in range(degree, -1, -1)])
 
 
@@ -75,10 +82,15 @@ def expand(p: MPoly, degree: int, params: Params) -> Dict[BasisLabel, QI]:
     coords = _level_solver(degree, params).solve(
         [p.coefficient({"z": a, "zb": degree - a})
          for a in range(degree, -1, -1)])
-    out = {lb: c for lb, c in zip(enumerate_basis(degree), coords) if c}
-    rebuilt = sum((c * psi(lb, params) for lb, c in out.items()),
-                  MPoly.zero())
-    if rebuilt != p:
+    out: Dict[BasisLabel, QI] = {}
+    rebuilt: Dict[Exponent, QI] = {}
+    for (lb, f), c in zip(_level_basis(degree, params), coords):
+        if c:
+            out[lb] = c
+            for exp, fc in f.terms.items():
+                prev = rebuilt.get(exp)
+                rebuilt[exp] = c * fc + prev if prev is not None else c * fc
+    if from_terms(rebuilt) != p:
         raise NotInSpanError(f"not an element of the degree-{degree} level")
     return out
 
@@ -97,17 +109,11 @@ def h0_shifted_expansion(label: BasisLabel,
 
 
 @lru_cache(maxsize=None)
-def khat_image(label: BasisLabel, params: Params) -> MPoly:
-    """The quartic invariant applied to one basis function, once per key."""
-    return apply_named("Khat", psi(label, params), params)
-
-
-@lru_cache(maxsize=None)
 def khat_expansion(label: BasisLabel,
                    params: Params) -> Tuple[Tuple[BasisLabel, QI], ...]:
     """Expansion of the quartic invariant applied to one basis function."""
-    return tuple(expand(khat_image(label, params), label.degree,
-                        params).items())
+    r = apply_named("Khat", psi(label, params), params)
+    return tuple(expand(r, label.degree, params).items())
 
 
 @lru_cache(maxsize=None)

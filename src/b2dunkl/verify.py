@@ -23,7 +23,7 @@ from .scalars import QI, format_rat
 from .spectra import (E1_DIAG_VARIANT, E2_DIAG_VARIANT,
                       adjudicate_mirror_diagonals, expand,
                       h0_shifted_expansion, j2_expansion, khat_expansion,
-                      khat_image, label_str, predicted_h0, predicted_k)
+                      label_str, predicted_h0, predicted_k)
 from .weighted import verify_weighted_conjugation
 
 
@@ -181,7 +181,7 @@ def _suite_k(params: Params, max_degree: int) -> List[Case]:
         for src in enumerate_basis(deg):
             total += 1
             f = psi(src, params)
-            kf = khat_image(src, params)
+            kf = apply_named("Khat", f, params)
             if apply_named("Hhat", kf, params) != e * kf:
                 commute_bad.append(label_str(src))
             hf = apply_named("Hhat", f, params)

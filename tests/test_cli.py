@@ -527,8 +527,29 @@ _RE_INT = ('{"vars": ["z"], "terms": '
     (["apply", "--op", "T", "--poly", '{"vars": ["z"], "terms": '
       '[{"exp": [1, 2, 3], "re": "0", "im": "0"}]}'],
      "bad polynomial JSON: exponent arity mismatch"),
+    (["apply", "--op", "T", "--poly", "5"],
+     "bad polynomial JSON: polynomial must be a JSON object, not 5"),
+    (["apply", "--op", "T", "--poly", "{}"],
+     "bad polynomial JSON: polynomial lacks 'vars'"),
+    (["apply", "--op", "T", "--poly", '{"vars": ["z"]}'],
+     "bad polynomial JSON: polynomial lacks 'terms'"),
+    (["apply", "--op", "T", "--poly", '{"vars": [5], "terms": []}'],
+     "bad polynomial JSON: vars must be a list of variable names"),
+    (["apply", "--op", "T", "--poly", '{"vars": ["z"], "terms": 5}'],
+     "bad polynomial JSON: terms must be a list, not 5"),
+    (["apply", "--op", "T", "--poly", '{"vars": ["z"], "terms": [5]}'],
+     "bad polynomial JSON: a term must be an object with an 'exp' list, "
+     "'re' and 'im', not 5"),
+    (["apply", "--op", "T", "--poly", '{"vars": ["z"], "terms": '
+      '[{"exp": 1, "re": "1", "im": "0"}]}'],
+     "bad polynomial JSON: a term must be an object with an 'exp' list, "
+     "'re' and 'im', not {'exp': 1, 're': '1', 'im': '0'}"),
+    (["apply", "--op", '{"op": "mul", "poly": 5}', "--label", "1,0"],
+     "bad operator JSON: polynomial must be a JSON object, not 5"),
 ], ids=["re-int", "im-null", "op-mul", "prove-lhs",
-        "bool-exponent", "string-vars", "zero-term-arity"])
+        "bool-exponent", "string-vars", "zero-term-arity", "not-an-object",
+        "no-vars", "no-terms", "non-string-var", "terms-not-a-list",
+        "term-not-an-object", "exp-not-a-list", "op-mul-not-an-object"])
 def test_malformed_polynomial_json_exits_two(argv, message, capsys):
     # a value of the wrong JSON type is a configuration error, never a
     # crash that exits 1 like a refutation
@@ -600,10 +621,21 @@ MALFORMED_OPS = [
      "operator node must be a JSON object, not 5"),
     ('{"op": "commutator", "a": {"op": "named", "name": "J"}}',
      "commutator node lacks 'b'"),
+    ('{"op": "group", "element": 5}', "not a group element name: 5"),
+    ('{"op": "group", "element": "ref4"}',
+     "not a group element name: 'ref4'"),
+    ('{"op": "named", "name": "nope"}',
+     "unknown operator 'nope'; available: "
+     + ", ".join(operators.OPERATOR_NAMES)),
+    ('{"op": "named", "name": [1]}',
+     "unknown operator [1]; available: "
+     + ", ".join(operators.OPERATOR_NAMES)),
 ]
 MALFORMED_IDS = ["bad-direction", "no-direction", "unknown-node",
                  "not-an-object", "list", "no-kind", "parts-not-a-list",
-                 "part-not-an-object", "commutator-without-b"]
+                 "part-not-an-object", "commutator-without-b",
+                 "element-not-a-string", "unknown-element", "unknown-name",
+                 "name-not-a-string"]
 
 
 @pytest.mark.parametrize("op, reason", MALFORMED_OPS, ids=MALFORMED_IDS)

@@ -1,9 +1,11 @@
 """The shared tree walk of `operators.evaluate` against a direct walk.
 
 `evaluate` instantiates each `Mul` coefficient once per parameter triple and
-lets the parts of a Sum share their Dunkl results.  The oracle here is the
-plain recursive walk: no sharing, and the coefficient substituted on every
-visit.  Both must give equal results on polynomials and on prover states.
+lets the parts of a Sum share their Dunkl results, and `apply` answers a
+numeric top-level registry call from per-monomial images.  The oracle here
+is the plain recursive walk: no sharing, and the coefficient substituted on
+every visit.  Both must give equal results on polynomials and on prover
+states.
 """
 
 from fractions import Fraction as Q
@@ -20,6 +22,7 @@ from b2dunkl.operators import (OPERATOR_NAMES, Commutator, Compose, Dunkl,
 from b2dunkl.params import Params
 from b2dunkl.poly import MPoly
 from b2dunkl.scalars import QI
+from memos import clear_memos
 
 
 def direct_walk(expr, x, params, dunkl, group_act):
@@ -88,6 +91,52 @@ def test_apply_matches_direct_walk_on_every_named_operator(p, pr):
             name
 
 
+HIGH_HEIGHT = Params.numeric("9973/10007", "7919/8081", "4999/5003")
+
+
+@st.composite
+def spectator_polys(draw):
+    """Degree <= 4 in z, zb, times powers of the spectators u and w."""
+    terms = {}
+    for _ in range(draw(st.integers(1, 4))):
+        a = draw(st.integers(0, 4))
+        b = draw(st.integers(0, 4 - a))
+        u, w = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+        terms[(a, b, u, w)] = QI(draw(st.fractions(-9, 9, max_denominator=6)),
+                                 draw(st.fractions(-9, 9, max_denominator=6)))
+    return MPoly(("z", "zb", "u", "w"), terms)
+
+
+@given(st.sampled_from(OPERATOR_NAMES), spectator_polys(),
+       st.one_of(numeric_triples(), st.just(HIGH_HEIGHT)))
+@settings(max_examples=40, deadline=None)
+def test_image_table_matches_direct_walk(name, p, pr):
+    # a numeric top-level call of a registry tree combines per-monomial
+    # images; T and Tb keep their own monomial memo and get no table
+    op = named(name)
+    table = operators._image_table(id(op), pr)
+    assert apply(op, p, pr) == direct_apply(op, p, pr), name
+    if name in ("T", "Tb"):
+        assert table == {}
+        return
+    assert {exp[:2] for exp in p.terms} <= table.keys()
+    filled = dict(table)
+    # apply_named and a JSON named node reach the same entry, and a
+    # second application fills none
+    assert expr_from_json({"op": "named", "name": name}) is op
+    assert operators.apply_named(name, p, pr) == direct_apply(op, p, pr)
+    assert table == filled
+
+
+@given(st.sampled_from(OPERATOR_NAMES), spectator_polys())
+@settings(max_examples=10, deadline=None)
+def test_symbolic_params_bypass_the_image_table(name, p):
+    sym = Params.symbolic()
+    made = operators._image_table.cache_info().currsize
+    assert apply(named(name), p, sym) == direct_apply(named(name), p, sym)
+    assert operators._image_table.cache_info().currsize == made
+
+
 def test_k_apply_matches_direct_walk():
     reflected = KernelState({reflection(1): MPoly.const(1)})
     ops = [named("K"), named("Khat"), named("J2"),
@@ -132,10 +181,11 @@ def test_quartic_hat_shares_first_order_steps(monkeypatch):
 
 
 def _dunkl_applications(calls, name):
-    """Dunkl applications of one numeric `apply` of `name` on z^3 zb^2,
-    whose image must equal the direct walk's."""
+    """Dunkl applications of one numeric `apply` of `name` on z^3 zb^2 from
+    cold memos, whose image must equal the direct walk's."""
     p = MPoly.var("z") ** 3 * MPoly.var("zb") ** 2
     pr = Params.numeric("13/17", "19/23", "29/31")
+    clear_memos()
     calls.clear()
     image = apply(named(name), p, pr)
     assert image == direct_apply(named(name), p, pr)
@@ -206,7 +256,7 @@ def test_mul_coefficient_instantiated_once_per_node(monkeypatch):
         return instantiate(self, p)
 
     monkeypatch.setattr(Params, "instantiate", counted)
-    coefficient.cache_clear()
+    clear_memos()
     p = MPoly.var("z") ** 2 * MPoly.var("zb")
     first = apply(khat, p, pr)
     assert 0 < len(calls) <= len(nodes)

@@ -133,9 +133,17 @@ def _swapped_image(g, label):
         else (img, phase)
 
 
+def _khat_off_on_fault_label(name, f, params):
+    out = apply_named(name, f, params)
+    if name == "Khat" and f == psi(_FAULT_LABEL, params):
+        out = out + f
+    return out
+
+
 def _hhat_off_on_khat_image(name, f, params):
     out = apply_named(name, f, params)
-    if name == "Hhat" and f == spectra.khat_image(_FAULT_LABEL, params):
+    if name == "Hhat" and f == apply_named(
+            "Khat", psi(_FAULT_LABEL, params), params):
         out = out + 1
     return out
 
@@ -172,9 +180,7 @@ FAULTS = {
     "k-table": ("k", "predicted_k",
                 _off_for_label(spectra.predicted_k, _off_prediction),
                 {"table-level-02": "1/3 entries failed"}),
-    "k-closed-form": ("k", "khat_image",
-                      _off_for_label(spectra.khat_image,
-                                     lambda kf, lb, pr: kf + psi(lb, pr)),
+    "k-closed-form": ("k", "apply_named", _khat_off_on_fault_label,
                       {"closed-form-on-basis": "1/15 states failed: 2,0"}),
     "k-commutes": ("k", "apply_named", _hhat_off_on_khat_image,
                    {"hamiltonian-commutes": "1/15 states failed: 2,0"}),
