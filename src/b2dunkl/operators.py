@@ -40,7 +40,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from operator import add
-from typing import Dict, Tuple
+from typing import Collection, Dict, Tuple
 
 from .group import act, central_element_terms, ell, parse_elem
 from .params import Params
@@ -280,8 +280,8 @@ _TAG = slice(2, 4)
 assert UNIVERSE[_TAG] == ("u", "ub")
 
 
-def _fill_images(expr: Expr, missing, params: Params,
-                 table: Dict[Tuple[int, int], Terms]) -> None:
+def _fill_images(expr: Expr, missing: Collection[Tuple[int, int]],
+                 params: Params, table: Dict[Tuple[int, int], Terms]) -> None:
     """Add the images of the monomials (a, b) in `missing` to `table`
     with one walk.
 

@@ -349,6 +349,9 @@ class MPoly:
                     and isinstance(t["exp"], list)):
                 raise ValueError(f"a term must be an object with an 'exp' "
                                  f"list, 're' and 'im', not {t!r}")
+            if not all(type(e) is int and e >= 0 for e in t["exp"]):
+                raise ValueError(f"exponents must be nonnegative integers, "
+                                 f"not {t['exp']}")
             terms[tuple(t["exp"])] = QI(parse_rat(t["re"]),
                                         parse_rat(t["im"]))
         return cls(tuple(names), terms)

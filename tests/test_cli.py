@@ -546,10 +546,15 @@ _RE_INT = ('{"vars": ["z"], "terms": '
      "'re' and 'im', not {'exp': 1, 're': '1', 'im': '0'}"),
     (["apply", "--op", '{"op": "mul", "poly": 5}', "--label", "1,0"],
      "bad operator JSON: polynomial must be a JSON object, not 5"),
+    (["apply", "--op", "T", "--poly", '{"vars": ["z"], "terms": '
+      '[{"exp": [[1]], "re": "1", "im": "0"}]}'],
+     "bad polynomial JSON: exponents must be nonnegative integers, "
+     "not [[1]]"),
 ], ids=["re-int", "im-null", "op-mul", "prove-lhs",
         "bool-exponent", "string-vars", "zero-term-arity", "not-an-object",
         "no-vars", "no-terms", "non-string-var", "terms-not-a-list",
-        "term-not-an-object", "exp-not-a-list", "op-mul-not-an-object"])
+        "term-not-an-object", "exp-not-a-list", "op-mul-not-an-object",
+        "list-exponent"])
 def test_malformed_polynomial_json_exits_two(argv, message, capsys):
     # a value of the wrong JSON type is a configuration error, never a
     # crash that exits 1 like a refutation
