@@ -9,10 +9,10 @@ and comma-separated suite lists, the configuration errors that exit 2
 (malformed polynomial JSON among them), images that `apply --expand`
 finds outside their level, a malformed zero term, JSON `--op`
 expressions that fail to build, a JSON group element, a polynomial and
-a group element of the wrong JSON type, an unknown named operator, and
-settings read from the environment, one of them malformed and one
-overridden by its flag.  It also pins the hatted components Hhat_1 and Hhat_3, which no
-suite applies, a hatted operator on a polynomial with spectator
+a group element of the wrong JSON type, an unknown named operator, a
+polynomial that repeats an exponent, and settings read from the
+environment, one of them malformed and one overridden by its flag.  It
+also pins the hatted components Hhat_1 and Hhat_3, which no suite applies, a hatted operator on a polynomial with spectator
 variables, and a table value above 10^30.  An entry may carry an ``env``
 dict, the environment its command runs with (empty when absent).
 A refactor that must keep outputs byte-identical regenerates nothing:
@@ -82,6 +82,9 @@ ZERO_TERM_BAD_ARITY = {"vars": ["z"], "terms": [
 SPECTATOR_POLY = {"vars": ["z", "zb", "u", "k0"], "terms": [
     {"exp": [3, 1, 1, 0], "re": "2/3", "im": "-1/5"},
     {"exp": [0, 2, 0, 1], "re": "7/1", "im": "0/1"}]}
+# two terms with one exponent, which add up
+REPEATED_EXPONENT = {"vars": ["z"], "terms": [
+    {"exp": [1], "re": "1", "im": "0"}, {"exp": [1], "re": "2", "im": "0"}]}
 
 
 def _sha(text: str) -> str:
@@ -172,7 +175,9 @@ def commands() -> List[List[str]]:
             + [["apply", "--op", "T", "--poly", poly] for poly in ("5", "{}")]
             + [["apply", "--op", op, "--label", "1,0"]
                for op in ('{"op": "group", "element": 5}',
-                          '{"op": "named", "name": "nope"}')])
+                          '{"op": "named", "name": "nope"}')]
+            + [["apply", "--op", "J", "--poly",
+                json.dumps(REPEATED_EXPONENT)]])
 
 
 # commands run with settings from the environment: (env, argv)
