@@ -82,15 +82,6 @@ def act(g: GroupElem, p: MPoly) -> MPoly:
     return from_terms(out)
 
 
-def transform_pair(g: GroupElem, pair: Tuple[MPoly, MPoly]) -> Tuple[MPoly, MPoly]:
-    """Coordinates of a point moved by g, given its coordinates (A, B)."""
-    a, b = pair
-    ik, imk = QI.i_power(g.k), QI.i_power(-g.k)
-    if g.refl:
-        return (ik * b, imk * a)
-    return (ik * a, imk * b)
-
-
 _ELL = tuple(MPoly.var("z") - QI.i_power(j) * MPoly.var("zb")
              for j in range(4))
 

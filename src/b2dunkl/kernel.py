@@ -40,18 +40,16 @@ from functools import lru_cache
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
 from .group import (GroupElem, act, elem_name, inv, mul, reflection,
-                    rotation, transform_pair, IDENTITY)
+                    rotation, IDENTITY)
 from .operators import (Commutator, Compose, Expr, GroupOp, Mul, Sum,
                         add_scaled, evaluate, monomial_quotients, named,
                         visit)
 from .params import Params
-from .poly import Exponent, MPoly, from_terms
+from .poly import UNIVERSE, Exponent, MPoly, from_terms
 from .record import Record
 from .scalars import QI
 
 _HALF = Fraction(1, 2)
-_U = MPoly.var("u")
-_UB = MPoly.var("ub")
 _W = MPoly.var("w")
 
 
@@ -112,11 +110,13 @@ def k_initial() -> KernelState:
 @lru_cache(maxsize=None)
 def _half_dual(var: str, w: GroupElem) -> Tuple[int, QI]:
     """The half dual-coordinate factor of the w-copy in the var direction,
-    which is one monomial: the universe index of its variable (u or ub)
-    and half its phase."""
-    uw, ubw = transform_pair(inv(w), (_U, _UB))
-    (exp, c), = (uw if var == "zb" else ubw).terms.items()
-    return exp.index(1), c * _HALF
+    which is one monomial: the universe index of its variable and half its
+    phase.  In closed form the zb step takes u and the z step takes ub, a
+    reflection swaps the two, and a turn by k scales u by i^-k and ub by
+    i^k."""
+    if (var == "zb") != w.refl:
+        return UNIVERSE.index("u"), QI.i_power(-w.k) * _HALF
+    return UNIVERSE.index("ub"), QI.i_power(w.k) * _HALF
 
 
 @lru_cache(maxsize=None)

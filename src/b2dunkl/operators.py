@@ -28,11 +28,12 @@ applied once per input within one memo, and no other node is memoised.
 for one `kernel.image_scope`.
 
 Every registry operator is linear over the constants, so at numeric
-params a top-level `apply` of a registry tree other than T and Tb answers
-from images of single monomials z^a zb^b (`_image_table`), which every
-basis function and level element holding that monomial shares.  The
-monomials an input brings that the table lacks are imaged by one walk
-(`_fill_images`).
+params each `apply` of a registry tree other than T and Tb, at top level
+or from inside a walk, answers from images of single monomials z^a zb^b
+(`_image_table`), which every basis function and level element holding
+that monomial shares.  The monomials an input brings that the table
+lacks are imaged by one walk (`_fill_images`).  Symbolic params always
+walk, because no symbolic image is reused.
 """
 
 from __future__ import annotations
@@ -270,8 +271,8 @@ def visit(expr: Expr, x, params: Params, recurse, memo: dict):
 def _image_table(tree: int, params: Params) -> Dict[Tuple[int, int], Terms]:
     """Images of the monomials z^a zb^b, keyed by (a, b), under the
     registry tree with id `tree` at numeric params; filled by
-    `_fill_images`.  Registry trees live as long as the module, so their
-    ids stay valid."""
+    `_fill_images` and read by every `apply` of the tree.  Registry trees
+    live as long as the module, so their ids stay valid."""
     return {}
 
 
@@ -288,10 +289,11 @@ def _fill_images(expr: Expr, missing: Collection[Tuple[int, int]],
     Each z^a zb^b is tagged u^a ub^b, and the image of the tagged sum is
     split by its (u, ub) exponents.  That is sound because the
     coefficients of a registry tree at numeric params hold only z and zb,
-    and both `act` and the Dunkl step leave u and ub alone.  One walk per
-    input keeps the number of walks what it was without the table; the
-    basis functions of one level share no monomial, so a walk per
-    monomial would multiply it.
+    and both `act` and the Dunkl step leave u and ub alone.  Each fill
+    tags a fresh input of its own, so a fill started from inside another
+    walk never sees that walk's spectators.  One walk per input keeps the
+    number of walks what it was without the table; the basis functions of
+    one level share no monomial, so a walk per monomial would multiply it.
     """
     tagged = from_terms({(a, b, a, b) + _NO_SPECTATORS[2:]: QI(1)
                          for a, b in missing})
@@ -307,13 +309,15 @@ def _fill_images(expr: Expr, missing: Collection[Tuple[int, int]],
 def apply(expr: Expr, p: MPoly, params: Params, memo=None) -> MPoly:
     """Apply an operator tree to a polynomial.
 
-    A top-level call of a registry tree other than T and Tb at numeric
-    params combines the per-monomial images of `_image_table`, each scaled
-    by its term's coefficient and spectator cofactor.  Any other top-level
-    call shares registry images within a fresh memo, and a call from
-    inside a walk passes the walk's `memo`.
+    One rule: a registry tree other than T and Tb at numeric params,
+    called at top level or by `visit` from inside a walk, combines the
+    per-monomial images of `_image_table`, each scaled by its term's
+    coefficient and spectator cofactor.  Any other tree walks, sharing
+    registry images within a fresh memo at top level or the walk's `memo`
+    inside one.  Symbolic params walk too: the prover and the symbolic
+    suites reuse no symbolic image, so a table would only cost its fill.
     """
-    if memo is None and id(expr) in _TABULATED and not params.is_symbolic:
+    if id(expr) in _TABULATED and not params.is_symbolic:
         table = _image_table(id(expr), params)
         missing = [exp[:2] for exp in p.terms if exp[:2] not in table]
         if missing:

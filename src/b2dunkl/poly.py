@@ -21,7 +21,7 @@ and the benchmark times it.
 from __future__ import annotations
 
 from operator import add
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Dict, Iterable, Mapping, Tuple, Union
 
 from .scalars import ONE, QI, ScalarLike, format_rat, parse_rat
 
@@ -50,8 +50,10 @@ class MPoly:
     __slots__ = ("terms",)
 
     def __init__(self, vars: Iterable[str] = (),
-                 terms: Mapping[Exponent, ScalarLike] = None):
-        """Polynomial from exponents listed over ``vars``, in any order."""
+                 terms: Union[Mapping[Exponent, ScalarLike], Iterable] = None):
+        """Polynomial from exponents listed over ``vars``, in any order.
+        ``terms`` is a mapping or (exponent, coefficient) pairs; the
+        coefficients of a repeated exponent add up."""
         names = tuple(vars)
         for name in names:
             if name not in _UNIVERSE_INDEX:
@@ -61,7 +63,9 @@ class MPoly:
         pos = [_UNIVERSE_INDEX[name] for name in names]
 
         merged: Dict[Exponent, QI] = {}
-        for exp, c in (terms or {}).items():
+        if isinstance(terms, Mapping):
+            terms = terms.items()
+        for exp, c in terms or ():
             if len(exp) != len(names):
                 raise ValueError("exponent arity mismatch")
             if not all(type(e) is int and e >= 0 for e in exp):
@@ -343,17 +347,14 @@ class MPoly:
             raise ValueError("vars must be a list of variable names")
         if not isinstance(obj["terms"], list):
             raise ValueError(f"terms must be a list, not {obj['terms']!r}")
-        terms = {}
+        terms = []
         for t in obj["terms"]:
             if not (isinstance(t, dict) and {"exp", "re", "im"} <= t.keys()
                     and isinstance(t["exp"], list)):
                 raise ValueError(f"a term must be an object with an 'exp' "
                                  f"list, 're' and 'im', not {t!r}")
-            if not all(type(e) is int and e >= 0 for e in t["exp"]):
-                raise ValueError(f"exponents must be nonnegative integers, "
-                                 f"not {t['exp']}")
-            terms[tuple(t["exp"])] = QI(parse_rat(t["re"]),
-                                        parse_rat(t["im"]))
+            terms.append((t["exp"], QI(parse_rat(t["re"]),
+                                       parse_rat(t["im"]))))
         return cls(tuple(names), terms)
 
     # ---- display --------------------------------------------------------

@@ -2,7 +2,8 @@
 
 `evaluate` instantiates each `Mul` coefficient once per parameter triple and
 lets the parts of a Sum share their Dunkl results, and `apply` answers a
-numeric top-level registry call from per-monomial images.  The oracle here
+numeric registry call, at top level or inside a walk, from per-monomial
+images.  The oracle here
 is the plain recursive walk: no sharing, and the coefficient substituted on
 every visit.  Both must give equal results on polynomials and on prover
 states.
@@ -135,6 +136,20 @@ def test_symbolic_params_bypass_the_image_table(name, p):
     made = operators._image_table.cache_info().currsize
     assert apply(named(name), p, sym) == direct_apply(named(name), p, sym)
     assert operators._image_table.cache_info().currsize == made
+
+
+@given(spectator_polys(), numeric_triples())
+@settings(max_examples=10, deadline=None)
+def test_registry_trees_inside_a_walk_answer_from_their_tables(p, pr):
+    # a tree that is no registry tree walks, and its registry subtrees K
+    # and Hcal answer from their tables, filled by the walk from cold memos
+    clear_memos()
+    k, hcal = named("K"), named("Hcal")
+    op = Commutator(k, hcal)
+    assert apply(op, p, pr) == direct_apply(op, p, pr)
+    for tree in (k, hcal):
+        table = operators._image_table(id(tree), pr)
+        assert {exp[:2] for exp in p.terms} <= table.keys()
 
 
 def test_k_apply_matches_direct_walk():

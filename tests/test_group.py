@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from b2dunkl.group import (
     ALL_ELEMENTS, IDENTITY, act, central_element_terms, ell, elem_name, inv,
-    mul, parse_elem, reflection, rotation, transform_pair,
+    mul, parse_elem, reflection, rotation,
 )
 from b2dunkl.operators import apply_named
 from b2dunkl.params import Params
@@ -148,13 +148,6 @@ def test_reflection_lines_transform_into_each_other():
                 -QI.i_power(j - k) * ell((2 * k - j) % 4)
             assert act(rotation(k), ell(j)) == \
                 QI.i_power(k) * ell((j - 2 * k) % 4)
-
-
-def test_transform_pair_matches_action_convention():
-    A, B = transform_pair(rotation(1), (U, MPoly.var("ub")))
-    assert A == QI(0, 1) * U and B == QI(0, -1) * MPoly.var("ub")
-    A, B = transform_pair(reflection(2), (U, MPoly.var("ub")))
-    assert A == -MPoly.var("ub") and B == -U
 
 
 def test_element_names_round_trip():

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from b2dunkl import kernel
-from b2dunkl.group import (ALL_ELEMENTS, IDENTITY, inv, mul, reflection,
-                           rotation, transform_pair)
+from b2dunkl.group import (ALL_ELEMENTS, IDENTITY, act, inv, mul,
+                           reflection, rotation)
 from b2dunkl.kernel import (
     IDENTITIES, IDENTITY_NAMES, KernelState, ProofResult, get_identity,
     k_apply, k_initial, prove, prove_named,
@@ -172,17 +172,35 @@ def test_direct_application_agrees_with_catalogue_verdicts(p, pr):
                        for m in LOW_MONOMIALS), name
 
 
+def moved_dual(w):
+    """The dual point (u, ub) moved by the inverse of w, from the action
+    on the coordinates z, zb renamed to u, ub."""
+    return tuple(MPoly(("u", "ub"), {exp[:2]: c for exp, c in
+                                     act(inv(w), coord).terms.items()})
+                 for coord in (Z, ZB))
+
+
 def direct_first_order(var, state, params):
     """The first-order step on whole amplitudes: diff + 1/2 factor p at w,
     and each reflection quotient of p at the reflected copy."""
     out = KernelState()
     for w, p in state.parts.items():
-        uw, ubw = transform_pair(inv(w), (U, UB))
+        uw, ubw = moved_dual(w)
         factor = uw if var == "zb" else ubw
         out = out + KernelState({w: p.diff(var) + Q(1, 2) * (factor * p)})
         for j, quot in reflection_quotients(var, p, params):
             out = out + KernelState({mul(reflection(j), w): quot})
     return out
+
+
+def test_half_dual_closed_form_matches_the_group_action():
+    # the zb step takes u, the z step ub, in every copy
+    assert moved_dual(IDENTITY) == (U, UB)
+    for w in ALL_ELEMENTS:
+        uw, ubw = moved_dual(w)
+        for var, factor in (("zb", uw), ("z", ubw)):
+            slot, half = kernel._half_dual(var, w)
+            assert 2 * half * MPoly.var(UNIVERSE[slot]) == factor, (var, w)
 
 
 @st.composite

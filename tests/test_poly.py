@@ -53,6 +53,19 @@ def test_zero_term_with_wrong_arity_rejected():
         MPoly(("z",), {(1, 2, 3): 0})
 
 
+def test_repeated_exponents_add_up():
+    # as a mapping or as (exponent, coefficient) pairs, and from JSON
+    assert MPoly(("z", "zb"), [((1, 0), 1), ((1, 0), 2), ([0, 1], 3)]) \
+        == 3 * Z + 3 * ZB
+    assert MPoly.from_json_dict({"vars": ["z"], "terms": [
+        {"exp": [1], "re": "1", "im": "0"},
+        {"exp": [1], "re": "2", "im": "0"}]}) == 3 * Z
+    # the constructor checks the arity before the exponents' type
+    with pytest.raises(ValueError, match="arity mismatch"):
+        MPoly.from_json_dict({"vars": ["z"], "terms": [
+            {"exp": [1, True], "re": "1", "im": "0"}]})
+
+
 def test_polynomials_refuse_assignment():
     with pytest.raises(AttributeError, match="immutable"):
         Z.terms = {}
