@@ -314,8 +314,9 @@ def apply(expr: Expr, p: MPoly, params: Params, memo=None) -> MPoly:
     per-monomial images of `_image_table`, each scaled by its term's
     coefficient and spectator cofactor.  Any other tree walks, sharing
     registry images within a fresh memo at top level or the walk's `memo`
-    inside one.  Symbolic params walk too: the prover and the symbolic
-    suites reuse no symbolic image, so a table would only cost its fill.
+    inside one.  Symbolic params walk too: no symbolic image is reused,
+    so a table would only cost its fill (a copy that tabulated them was
+    slower on the appendixA suite).
     """
     if id(expr) in _TABULATED and not params.is_symbolic:
         table = _image_table(id(expr), params)

@@ -3,10 +3,9 @@
 `evaluate` instantiates each `Mul` coefficient once per parameter triple and
 lets the parts of a Sum share their Dunkl results, and `apply` answers a
 numeric registry call, at top level or inside a walk, from per-monomial
-images.  The oracle here
-is the plain recursive walk: no sharing, and the coefficient substituted on
-every visit.  Both must give equal results on polynomials and on prover
-states.
+images.  The oracle here is the plain recursive walk: no sharing, and the
+coefficient substituted on every visit.  Both must give equal results on
+polynomials and on prover states.
 """
 
 from fractions import Fraction as Q
