@@ -18,8 +18,13 @@ copies.  It is one pass over each amplitude's terms, accumulating into one
 term dict per target copy: the dual factor is one monomial, so it is an
 exponent shift times a phase cached per (direction, copy), and the
 quotients, which are linear and leave u, ub, k0, k1 and w alone, come term
-by term from `operators.monomial_quotients`, the per-monomial memo of
-their closed forms.  No intermediate polynomial is built.
+by term from `operators.monomial_quotients`, the parameter-free
+per-monomial memo of their closed forms, each quotient term a power i^r.
+So each amplitude term c is scaled once, not once per quotient term: the
+four phases of c (of c kappa_j at numeric params) are rotations of its
+integer triple, a symbolic kappa_j raises the k0 or k1 exponent by one,
+and at numeric params the lines of a zero coupling are skipped.  No
+intermediate polynomial is built.
 
 Operator trees are walked by `operators.evaluate`, which applies each
 registry operator (the `named` trees, T and Tb among them) once per
@@ -42,8 +47,7 @@ from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
 from .group import (GroupElem, act, elem_name, inv, mul, reflection,
                     rotation, IDENTITY)
 from .operators import (Commutator, Compose, Expr, GroupOp, Mul, Sum,
-                        add_scaled, evaluate, monomial_quotients, named,
-                        visit)
+                        evaluate, monomial_quotients, named, visit)
 from .params import Params
 from .poly import UNIVERSE, Exponent, MPoly, from_terms
 from .record import Record
@@ -126,9 +130,15 @@ def _reflected(w: GroupElem) -> Tuple[GroupElem, ...]:
     return tuple(mul(reflection(j), w) for j in range(4))
 
 
+# the exponents that symbolic kappa_0 = k0 and kappa_1 = k1 raise
+_KAPPA_SLOTS = (UNIVERSE.index("k0"), UNIVERSE.index("k1"))
+
+
 def _first_order(var: str, state: KernelState,
                  params: Params) -> KernelState:
     d = 0 if var == "z" else 1
+    kappas = (None if params.is_symbolic
+              else (QI.of(params.k0), QI.of(params.k1)))
     out: Dict[GroupElem, Dict[Exponent, QI]] = {}
     for w, p in state.parts.items():
         here = out.setdefault(w, {})
@@ -145,8 +155,30 @@ def _first_order(var: str, state: KernelState,
             term = half * c
             prev = here.get(key)
             here[key] = term + prev if prev is not None else term
-            for j, terms in monomial_quotients(var, exp[0], exp[1], params):
-                add_scaled(moved[j], c, exp[2:], terms)
+            lines = monomial_quotients(var, exp[0], exp[1])
+            if not lines:
+                continue
+            # (phases of c kappa_j, spectators) per coupling class j mod 2:
+            # a symbolic kappa_j raises the k0 or k1 exponent, a numeric
+            # one scales c once, and a zero one drops its lines
+            if kappas is None:
+                phases = c.phases()
+                scaled = [(phases, exp[2:s] + (exp[s] + 1,) + exp[s + 1:])
+                          for s in _KAPPA_SLOTS]
+            else:
+                rest = exp[2:]
+                scaled = tuple(((c * k).phases(), rest) if k else None
+                               for k in kappas)
+            for j, terms in enumerate(lines):
+                if scaled[j & 1] is None:
+                    continue
+                phases, rest = scaled[j & 1]
+                acc = moved[j]
+                for x, y, r in terms:
+                    key = (x, y) + rest
+                    term = phases[r]
+                    prev = acc.get(key)
+                    acc[key] = term + prev if prev is not None else term
     return KernelState({g: from_terms(acc) for g, acc in out.items()})
 
 

@@ -3,13 +3,16 @@
 The two first-order operators act on polynomials in z, zb as a derivative
 plus difference quotients across the four mirror lines.  On a monomial
 each quotient is a finite geometric sum, so the result is again a
-polynomial and no division runs: `_quotient_terms` writes the quotients of
-z^a zb^b down in closed form, and the Dunkl image (`_monomial_image`) and
-the prover's per-line quotients (`monomial_quotients`) are memoised per
-monomial from it (Dunkl, Trans. AMS 311 (1989)).  Everything
-else (Hamiltonians, angular momentum, ladder operators, the fourth-order
-invariant) is a tree of sums, compositions, multiplication operators and
-group elements over those two generators.  The fourth-order invariant K,
+polynomial and no division runs: `_quotient_shape` gives the shape of the
+quotients of z^a zb^b, and from it the Dunkl image (`_monomial_image`) and
+the prover's per-line quotients (`monomial_quotients`) are written down in
+closed form and memoised per monomial (Dunkl, Trans. AMS 311 (1989)).  The
+prover's quotients are parameter-free: each coefficient is a power of i,
+kept as its exponent, and the prover scales a line by its coupling when it
+moves the line to the reflected copy.  Everything else (Hamiltonians,
+angular momentum, ladder operators, the fourth-order invariant) is a tree
+of sums, compositions, multiplication operators and group elements over
+those two generators.  The fourth-order invariant K,
 defined in the paper as sum_j (-1)^j H_j^2, is built as the equal sum of
 two squares A^2 + B^2, which takes far fewer Dunkl steps.  Each hatted
 operator is its twin conjugated by the invariant Gaussian (`_hat`).
@@ -110,38 +113,28 @@ def _quotient_shape(var: str, a: int, b: int):
     return n, hi, lo, sign, shift
 
 
-def _quotient_terms(var: str, a: int, b: int, params: Params):
-    """Yield (j, terms) for each mirror line j on which the reflection
-    quotient kappa_j (m - s_j m) / ell_j of m = z^a zb^b is nonzero, times
-    -i^j in the zb direction, in closed form.
+@lru_cache(maxsize=None)
+def monomial_quotients(var: str, a: int,
+                       b: int) -> Tuple[Tuple[Tuple[int, int, int], ...], ...]:
+    """The reflection quotients of m = z^a zb^b without their couplings, in
+    closed form, for the prover, which moves each to its own reflected copy
+    and scales it by kappa_j there.
 
-    With t = i^j and n = |a - b|, s_j m = t^(a-b) z^b zb^a, and the quotient
-    is a finite geometric sum: sum_{k<n} t^k z^(a-1-k) zb^(b+k) when a > b,
-    -sum_{k<n} t^(k-n) z^(b-1-k) zb^(a+k) when a < b, and zero when a = b.
-    Symbolic couplings appear in the terms as k0, k1.
+    Entry j lists the quotient (m - s_j m) / ell_j, times -i^j in the zb
+    direction, as terms (x, y, r), each i^r z^x zb^y; the tuple is empty
+    when a = b, where every quotient is zero.  With t = i^j and
+    n = |a - b|, s_j m = t^(a-b) z^b zb^a, and the quotient is a finite
+    geometric sum: sum_{k<n} t^k z^(a-1-k) zb^(b+k) when a > b and
+    -sum_{k<n} t^(k-n) z^(b-1-k) zb^(a+k) when a < b.  The sign is folded
+    into r, as -1 = i^2.
     """
     if a == b:
-        return
+        return ()
     n, hi, lo, sign, shift = _quotient_shape(var, a, b)
-    for j in range(4):
-        if params.is_symbolic:
-            kappa, rest = QI(sign), _KAPPA_SPECTATORS[j % 2]
-        else:
-            kappa, rest = sign * QI.of(params.kappa(j)), _NO_SPECTATORS
-            if not kappa:
-                continue
-        # the k-th term carries t^(k + shift) = i^(j (k + shift))
-        phased = [kappa * QI.i_power(r) for r in range(4)]
-        yield j, tuple(((hi - 1 - k, lo + k) + rest,
-                        phased[j * (k + shift) % 4]) for k in range(n))
-
-
-@lru_cache(maxsize=None)
-def monomial_quotients(var: str, a: int, b: int,
-                       params: Params) -> Tuple[Tuple[int, Terms], ...]:
-    """The reflection quotients (j, terms) of z^a zb^b, for the prover, which
-    moves each to its own reflected copy."""
-    return tuple(_quotient_terms(var, a, b, params))
+    turn = 0 if sign > 0 else 2
+    # the k-th term carries sign t^(k + shift) = i^(j (k + shift) + turn)
+    return tuple(tuple((hi - 1 - k, lo + k, (j * (k + shift) + turn) % 4)
+                       for k in range(n)) for j in range(4))
 
 
 @lru_cache(maxsize=None)
@@ -150,8 +143,9 @@ def _monomial_image(var: str, a: int, b: int, params: Params) -> Terms:
     reflection quotients summed over the four mirror lines.
 
     Lines j and j + 2 share kappa_j, and t_(j+2) = -t_j, so in the sum of
-    the `_quotient_terms` the k-th term survives only when r = k + shift is
-    even, with coefficient 2 sign (kappa_0 + (-1)^(r/2) kappa_1).
+    the quotients of `monomial_quotients`, each times kappa_j, the k-th
+    term survives only when s = k + shift is even, with coefficient
+    2 sign (kappa_0 + (-1)^(s/2) kappa_1).
     """
     out: Dict[Exponent, QI] = {}
     e = a if var == "z" else b
@@ -163,7 +157,7 @@ def _monomial_image(var: str, a: int, b: int, params: Params) -> Terms:
     n, hi, lo, sign, shift = _quotient_shape(var, a, b)
     two = QI(2 * sign)
     if params.is_symbolic:
-        # (spectators, coefficient at r = 0 mod 4, at r = 2 mod 4)
+        # (spectators, coefficient at s = 0 mod 4, at s = 2 mod 4)
         parts = ((_KAPPA_SPECTATORS[0], two, two),
                  (_KAPPA_SPECTATORS[1], two, -two))
     else:

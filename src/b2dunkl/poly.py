@@ -13,7 +13,7 @@ Coefficients are :class:`~b2dunkl.scalars.QI`.  All operations are exact.
 ``divide_linear`` performs the exact division by a homogeneous linear form
 (the reflection lines ``z - i^j zb``) and raises if it leaves a remainder.
 The Dunkl operators do not divide: their difference parts come from the
-closed-form quotients of ``operators._quotient_terms``.  The division is
+closed-form quotients of ``operators.monomial_quotients``.  The division is
 their test oracle, the mirror factors of the ``weighted`` identity use it,
 and the benchmark times it.
 """
@@ -190,12 +190,7 @@ class MPoly:
             k = self.terms[_CONST]
             return from_terms({e: k * c for e, c in other.terms.items()})
         out: Dict[Exponent, QI] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                exp = tuple(map(add, ea, eb))
-                c = ca * cb
-                prev = out.get(exp)
-                out[exp] = c + prev if prev is not None else c
+        add_product(out, self, other)
         return from_terms(out)
 
     __rmul__ = __mul__
@@ -378,6 +373,17 @@ class MPoly:
                     factors.append(f"{name}^{e}")
             parts.append("*".join(factors))
         return " + ".join(parts)
+
+
+def add_product(out: Dict[Exponent, QI], p: MPoly, q: MPoly) -> None:
+    """out += p q, term by term, into a term dict that ``from_terms`` reads;
+    a sum of products built this way forms no intermediate polynomial."""
+    for ea, ca in p.terms.items():
+        for eb, cb in q.terms.items():
+            exp = tuple(map(add, ea, eb))
+            c = ca * cb
+            prev = out.get(exp)
+            out[exp] = c + prev if prev is not None else c
 
 
 def from_terms(terms: Dict[Exponent, QI]) -> MPoly:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Union
+from typing import Tuple, Union
 
 RatLike = Union[int, Fraction]
 ScalarLike = Union[int, Fraction, "QI"]
@@ -89,6 +89,12 @@ class QI:
 
     def conj(self) -> "QI":
         return _qi(self._a, -self._b, self._d)
+
+    def phases(self) -> Tuple["QI", "QI", "QI", "QI"]:
+        """(self, i self, -self, -i self): self times i^r at index r.  Each
+        is a rotation of the canonical triple, so no product runs."""
+        a, b, d = self._a, self._b, self._d
+        return self, _qi(-b, a, d), _qi(-a, -b, d), _qi(b, -a, d)
 
     def __bool__(self) -> bool:
         return self._a != 0 or self._b != 0

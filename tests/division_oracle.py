@@ -1,7 +1,7 @@
 """The Dunkl difference quotients by exact polynomial division.
 
 The program fills its Dunkl memos from the closed-form geometric sums of
-`operators._quotient_terms`; the tests check them against this independent
+`operators._quotient_shape`; the tests check them against this independent
 slow path, which reflects the whole polynomial, subtracts and divides by the
 mirror line with `MPoly.divide_linear`.
 """

@@ -9,7 +9,7 @@ import time
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from b2dunkl import kernel
 from b2dunkl.group import (ALL_ELEMENTS, IDENTITY, act, inv, mul,
@@ -221,6 +221,13 @@ def amplitudes(draw):
                        min_size=1, max_size=8),
        st.one_of(numeric_triples(), st.just(Params.symbolic())))
 @settings(max_examples=40, deadline=None)
+# a zero coupling drops its two mirror lines from the step; pin both classes
+@example({IDENTITY: Z ** 3 * ZB * U + Q(2, 3) * ZB ** 2 * K0,
+          reflection(1): QI(1, -2) * Z * ZB ** 4 + Z},
+         Params.numeric("0", "3/2", "2/5"))
+@example({rotation(3): Z ** 4 * UB - 3 * ZB ** 3,
+          reflection(2): QI(0, 1) * Z ** 2 * ZB * K0 + ZB},
+         Params.numeric("5/4", "0", "1"))
 def test_memoised_first_order_matches_whole_amplitude_quotients(parts, pr):
     state = KernelState(parts)
     for var in ("z", "zb"):

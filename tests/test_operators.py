@@ -132,7 +132,9 @@ def test_spectator_polynomials_through_memo_equal_direct_quotient(p, params):
 ], ids=["default", "high-height", "k0-zero", "symbolic"])
 def test_closed_form_quotients_equal_division_oracle(params):
     # both memos, filled cold from the geometric sums, against reflecting,
-    # subtracting and dividing; the oracle's zero quotients carry no terms
+    # subtracting and dividing; the prover's parameter-free quotients are
+    # expanded as kappa_j times the sum of i^r z^x zb^y over their (x, y, r)
+    # terms, and zero quotients carry no terms on either side
     for memo in (operators._monomial_image, operators.monomial_quotients):
         memo.cache_clear()
     for var in ("z", "zb"):
@@ -141,8 +143,14 @@ def test_closed_form_quotients_equal_division_oracle(params):
                 mono = Z ** a * ZB ** b
                 want = {j: q.terms for j, q in
                         reflection_quotients(var, mono, params) if q.terms}
-                got = {j: dict(terms) for j, terms in
-                       operators.monomial_quotients(var, a, b, params)}
+                got = {}
+                for j, terms in enumerate(
+                        operators.monomial_quotients(var, a, b)):
+                    quot = params.kappa(j) * MPoly(
+                        ("z", "zb"),
+                        [((x, y), QI.i_power(r)) for x, y, r in terms])
+                    if quot.terms:
+                        got[j] = quot.terms
                 assert got == want, (var, a, b)
                 image = operators._monomial_image(var, a, b, params)
                 assert dict(image) == direct_dunkl(var, mono, params).terms

@@ -2,7 +2,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from b2dunkl.operators import monomial_quotients
+from b2dunkl.operators import _monomial_image
 from b2dunkl.params import DEFAULT_PARAMS, EXTRA_PARAM_SETS, Params
 from b2dunkl.poly import MPoly
 
@@ -86,10 +86,10 @@ def test_equal_params_share_one_memo_entry():
     assert fresh is not DEFAULT_PARAMS and fresh == DEFAULT_PARAMS
     assert hash(fresh) == hash(DEFAULT_PARAMS)
     assert hash(Params.symbolic()) == hash(Params(None, None, None))
-    cached = monomial_quotients("zb", 4, 3, DEFAULT_PARAMS)
-    before = monomial_quotients.cache_info()
-    assert monomial_quotients("zb", 4, 3, fresh) is cached
-    after = monomial_quotients.cache_info()
+    cached = _monomial_image("zb", 4, 3, DEFAULT_PARAMS)
+    before = _monomial_image.cache_info()
+    assert _monomial_image("zb", 4, 3, fresh) is cached
+    after = _monomial_image.cache_info()
     assert after.currsize == before.currsize
     assert after.hits == before.hits + 1
 

@@ -48,6 +48,12 @@ def test_i_powers_cycle():
     assert QI.i_power(7) == QI.i_power(3)
 
 
+def test_phases_rotate_the_triple():
+    for x in (QI(Fraction(2, 5), Fraction(-1, 3)), QI(3), QI(0, -7), QI(0)):
+        assert x.phases() == tuple(x * QI.i_power(r) for r in range(4))
+        assert x.phases()[0] is x
+
+
 def test_conjugate_and_predicates():
     x = QI(Fraction(2, 5), Fraction(-1, 3))
     assert x.conj() == QI(Fraction(2, 5), Fraction(1, 3))

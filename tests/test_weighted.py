@@ -1,12 +1,19 @@
 """The weight-conjugation identity for the second-order conserved operator,
 checked as one cleared-denominator polynomial equation per polynomial."""
 
+from contextlib import nullcontext
 from fractions import Fraction as Q
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from b2dunkl import weighted
 from b2dunkl.operators import apply_named
 from b2dunkl.poly import MPoly
+from b2dunkl.scalars import QI
 from b2dunkl.weighted import verify_weighted_conjugation
+from weighted_oracle import lhs_minus_rhs
 
 Z = MPoly.var("z")
 ZB = MPoly.var("zb")
@@ -30,15 +37,46 @@ def test_weight_potential_frozen_value():
                                         - K1 * (1 - K1) * EVEN ** 2)
 
 
+# faults injected into the module: the Hcal operator in place of the Dunkl
+# Laplacian, and reflections that leave their input alone
+FAULTS = {
+    "wrong-operator": ("apply_named",
+                       lambda name, p, params: apply_named("Hcal", p, params)),
+    "missing-reflections": ("act", lambda g, p: p),
+}
+
+
 def test_conjugation_identity_rejects_wrong_operator(monkeypatch):
-    monkeypatch.setattr(weighted, "apply_named",
-                        lambda name, p, params: apply_named("Hcal", p, params))
+    monkeypatch.setattr(weighted, *FAULTS["wrong-operator"])
     assert not _holds_through_degree_three()
 
 
 def test_conjugation_identity_rejects_missing_reflections(monkeypatch):
-    monkeypatch.setattr(weighted, "act", lambda g, p: p)
+    monkeypatch.setattr(weighted, *FAULTS["missing-reflections"])
     assert not _holds_through_degree_three()
+
+
+@st.composite
+def coordinate_polys(draw):
+    """Degree <= 5 in z, zb with Gaussian-rational coefficients."""
+    terms = {}
+    for _ in range(draw(st.integers(1, 4))):
+        a = draw(st.integers(0, 5))
+        b = draw(st.integers(0, 5 - a))
+        terms[(a, b)] = QI(draw(st.fractions(-9, 9, max_denominator=6)),
+                           draw(st.fractions(-9, 9, max_denominator=6)))
+    return MPoly(("z", "zb"), terms)
+
+
+@pytest.mark.parametrize("fault", [None, *FAULTS])
+@given(coordinate_polys())
+@settings(max_examples=15, deadline=None)
+def test_precombined_residual_equals_term_by_term_oracle(fault, p):
+    # the coefficients combined at import against both sides built term by
+    # term; under a fault the residual is nonzero, and must still agree
+    with (mock.patch.object(weighted, *FAULTS[fault]) if fault
+          else nullcontext()):
+        assert weighted._residual(p) == lhs_minus_rhs(p)
 
 
 def test_conjugation_identity_low_degree():
