@@ -73,7 +73,8 @@ def coordinate_polys(draw):
 @settings(max_examples=15, deadline=None)
 def test_precombined_residual_equals_term_by_term_oracle(fault, p):
     # the coefficients combined at import against both sides built term by
-    # term; under a fault the residual is nonzero, and must still agree
+    # term; under a fault the residual is in general nonzero, and must
+    # still agree
     with (mock.patch.object(weighted, *FAULTS[fault]) if fault
           else nullcontext()):
         assert weighted._residual(p) == lhs_minus_rhs(p)
