@@ -21,14 +21,15 @@ quotients, which are linear and leave u, ub, k0, k1 and w alone, come term
 by term from `operators.monomial_quotients`, the parameter-free
 per-monomial memo of their closed forms, each quotient term a power i^r.
 So each amplitude term c is scaled once, not once per quotient term: the
-four phases of c (of c kappa_j at numeric params) are rotations of its
-integer triple, a symbolic kappa_j raises the k0 or k1 exponent by one,
-and at numeric params the lines of a zero coupling are skipped.  No
+four phases of c are rotations of its integer triple, and the coupling
+kappa_j of a mirror line raises the k0 or k1 exponent by one.  No
 intermediate polynomial is built.
 
-Operator trees are walked by `operators.evaluate`, which applies each
-registry operator (the `named` trees, T and Tb among them) once per
-(operator, input state, params) within one memo.  Here that memo is the
+The couplings and the frequency are always symbolic here: an identity is
+decided once for all of them, and a numeric triple is what `operators.apply`
+is for.  Operator trees are walked by `operators.evaluate`, which applies
+each registry operator (the `named` trees, T and Tb among them) once per
+(operator, input state) within one memo.  Here that memo is the
 one `image_scope` yields: `k_apply` and `prove` open a scope when none is
 open, and a verification run opens one around all its suites, so the
 seed's images under K, Hcal, H_j, J2 and their Dunkl chains are computed
@@ -137,8 +138,6 @@ _KAPPA_SLOTS = (UNIVERSE.index("k0"), UNIVERSE.index("k1"))
 def _first_order(var: str, state: KernelState,
                  params: Params) -> KernelState:
     d = 0 if var == "z" else 1
-    kappas = (None if params.is_symbolic
-              else (QI.of(params.k0), QI.of(params.k1)))
     out: Dict[GroupElem, Dict[Exponent, QI]] = {}
     for w, p in state.parts.items():
         here = out.setdefault(w, {})
@@ -158,21 +157,13 @@ def _first_order(var: str, state: KernelState,
             lines = monomial_quotients(var, exp[0], exp[1])
             if not lines:
                 continue
-            # (phases of c kappa_j, spectators) per coupling class j mod 2:
-            # a symbolic kappa_j raises the k0 or k1 exponent, a numeric
-            # one scales c once, and a zero one drops its lines
-            if kappas is None:
-                phases = c.phases()
-                scaled = [(phases, exp[2:s] + (exp[s] + 1,) + exp[s + 1:])
-                          for s in _KAPPA_SLOTS]
-            else:
-                rest = exp[2:]
-                scaled = tuple(((c * k).phases(), rest) if k else None
-                               for k in kappas)
+            # the spectators of each coupling class j mod 2: kappa_j
+            # raises the k0 or k1 exponent
+            phases = c.phases()
+            rests = [exp[2:s] + (exp[s] + 1,) + exp[s + 1:]
+                     for s in _KAPPA_SLOTS]
             for j, terms in enumerate(lines):
-                if scaled[j & 1] is None:
-                    continue
-                phases, rest = scaled[j & 1]
+                rest = rests[j & 1]
                 acc = moved[j]
                 for x, y, r in terms:
                     key = (x, y) + rest
@@ -208,17 +199,19 @@ def image_scope() -> Iterator[dict]:
         _IMAGES.clear()
 
 
-def k_apply(expr: Expr, state: KernelState,
-            params: Optional[Params] = None, memo=None) -> KernelState:
-    """Apply an operator tree to a state; params default to fully symbolic.
+def k_apply(expr: Expr, state: KernelState, params: Params = _SYMBOLIC,
+            memo=None) -> KernelState:
+    """Apply an operator tree to a state, couplings and frequency symbolic.
     A top-level call looks the tree up in the memo of the open
-    `image_scope`, opening one of its own if none is open; a call from
-    inside a walk passes the walk's `memo`."""
-    if params is None:
-        params = _SYMBOLIC
+    `image_scope`, opening one of its own if none is open, and raises
+    ValueError at numeric params; a call from inside a walk passes back
+    the walk's `params` and `memo`."""
     if memo is not None:
         return evaluate(expr, state, params, k_apply, _first_order,
                         _relabel, memo)
+    if not params.is_symbolic:
+        raise ValueError("the prover keeps the couplings symbolic; "
+                         "apply numeric params with operators.apply")
     with image_scope() as memo:
         return visit(expr, state, params, k_apply, memo)
 

@@ -28,7 +28,8 @@ One tree walk, `evaluate`, serves both carriers: polynomials here
 rule: a registry tree (a `named` operator, T and Tb among them) is
 applied once per input within one memo, and no other node is memoised.
 `apply` starts a fresh memo per top-level call; the prover's memo lives
-for one `kernel.image_scope`.
+for one `kernel.image_scope` and is always symbolic.  So each memo holds
+one parameter triple, and `visit` keys it on (tree, input) alone.
 
 Every registry operator is linear over the constants, so at numeric
 params each `apply` of a registry tree other than T and Tb, at top level
@@ -240,10 +241,12 @@ def evaluate(expr: Expr, x, params: Params, recurse, dunkl, group_act,
 def visit(expr: Expr, x, params: Params, recurse, memo: dict):
     """Evaluate a subtree on x through `recurse(expr, x, params, memo)`.
 
-    A registry tree (`named`, the generators T and Tb among them) is first
-    looked up in `memo` under (id(expr), params) and then id(x), and
-    recursed into only on a miss.  Each image holds x, so its id stays
-    valid; registry trees live as long as the module.  So every registry
+    A registry tree (`named`, the generators T and Tb among them) is
+    looked up in `memo` under (id(expr), id(x)) and recursed into only on
+    a miss.  Each entry holds x, so its id stays valid; registry trees live
+    as long as the module.  Params are not in the key: every memo serves
+    one triple, the fresh one of a numeric `apply` or `_fill_images` walk
+    or the symbolic one of a prover scope.  So every registry
     operator acts once per input within one memo: in H_j the parts T Tb and
     Tb^2 share Tb x, and H_j takes five Dunkl steps.  K = A^2 + B^2 takes
     eight, two per application of A or B, and each hatted operator as many
@@ -251,13 +254,10 @@ def visit(expr: Expr, x, params: Params, recurse, memo: dict):
     """
     if id(expr) not in _REGISTRY_IDS:
         return recurse(expr, x, params, memo)
-    # one dict per (tree, params) keeps each image to one id and one pair
-    images = memo.get((id(expr), params))
-    if images is None:
-        images = memo[id(expr), params] = {}
-    hit = images.get(id(x))
+    key = id(expr), id(x)
+    hit = memo.get(key)
     if hit is None:
-        hit = images[id(x)] = (x, recurse(expr, x, params, memo))
+        hit = memo[key] = (x, recurse(expr, x, params, memo))
     return hit[1]
 
 

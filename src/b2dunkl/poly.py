@@ -10,8 +10,9 @@ term uses, and the public constructor, serialization and display speak in
 those variables only.
 
 Coefficients are :class:`~b2dunkl.scalars.QI`.  All operations are exact.
-``divide_linear`` performs the exact division by a homogeneous linear form
-(the reflection lines ``z - i^j zb``) and raises if it leaves a remainder.
+``divide_linear`` performs the exact division by a two-term homogeneous
+linear form (the mirror lines ``z - i^j zb``) and raises if it leaves a
+remainder.
 The Dunkl operators do not divide: their difference parts come from the
 closed-form quotients of ``operators.monomial_quotients``.  The division is
 their test oracle, the mirror factors of the ``weighted`` identity use it,
@@ -244,33 +245,24 @@ class MPoly:
     # ---- exact division by a homogeneous linear form -------------------
 
     def divide_linear(self, divisor: "MPoly") -> "MPoly":
-        """Exact quotient self / divisor for a 1- or 2-term linear form.
+        """Exact quotient self / divisor for a two-term homogeneous linear
+        form a X + b Y, such as a mirror line z - i^j zb.
 
         Raises ExactDivisionError when the division is not exact.
         """
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         dterms = sorted(divisor.terms.items())  # by exponent; deterministic
-        if len(dterms) > 2 or any(sum(e) != 1 for e, _ in dterms):
+        if len(dterms) != 2 or any(sum(e) != 1 for e, _ in dterms):
             raise ValueError("divisor must be a homogeneous linear form "
-                             "with one or two terms")
+                             "with two terms")
         if self.is_zero():
             return _ZERO
 
         p = self.terms
         # pivot variable X: the divisor term whose variable comes first
-        (xexp, a) = min(dterms, key=lambda kv: kv[0].index(1) if 1 in kv[0]
-                        else 0)
+        (xexp, a) = min(dterms, key=lambda kv: kv[0].index(1))
         xi = xexp.index(1)
-        if len(dterms) == 1:
-            out: Dict[Exponent, QI] = {}
-            for exp, c in p.items():
-                if exp[xi] == 0:
-                    raise ExactDivisionError("monomial divisor does not "
-                                             "divide all terms")
-                out[exp[:xi] + (exp[xi] - 1,) + exp[xi + 1:]] = c / a
-            return from_terms(out)
-
         (yexp, b) = next(kv for kv in dterms if kv[0] != xexp)
         yi = yexp.index(1)
         tc = -b / a                  # divisor = a*(X - tc*Y)

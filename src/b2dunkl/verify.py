@@ -9,7 +9,7 @@ environment data, so a repeated run serializes to identical bytes.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from .basis import (BasisLabel, enumerate_basis, energy, group_action,
                     j2_eigenvalue, norm, psi, rho1_eigenvalue)
@@ -68,54 +68,51 @@ def _tally(name: str, bad: List[str], total: int, noun: str) -> Case:
 # ---- individual suites -----------------------------------------------------
 
 
-def _suite_eigen(params: Params, max_degree: int) -> List[Case]:
-    cases = []
-    for deg in range(max_degree + 1):
-        e = energy(deg, params)
-        bad = []
-        for lb in enumerate_basis(deg):
-            f = psi(lb, params)
-            if apply_named("Hhat", f, params) != e * f:
-                bad.append(label_str(lb))
-        case = _tally(f"level-{deg:02d}", bad, deg + 1, "states")
-        if case.passed:
-            case = Case(case.name, True,
-                        f"{deg + 1} states at energy {format_rat(e)}")
-        cases.append(case)
-    return cases
-
-
-def _suite_j2(params: Params, max_degree: int) -> List[Case]:
+def _eigen_levels(params: Params, max_degree: int, image: Callable,
+                  eigenvalue: Callable,
+                  passing: Optional[Callable] = None) -> List[Case]:
+    """One case per level: every basis state psi must satisfy
+    image(psi) == eigenvalue(label) psi.  `passing(deg, values)` words a
+    passing level, values its distinct eigenvalues in first-seen order;
+    without it the tally does."""
     cases = []
     for deg in range(max_degree + 1):
         bad = []
         values = []
         for lb in enumerate_basis(deg):
-            lam = j2_eigenvalue(lb, params)
+            lam = eigenvalue(lb)
             if lam not in values:
                 values.append(lam)
             f = psi(lb, params)
-            if apply_named("J2", f, params) != lam * f:
+            if image(f) != lam * f:
                 bad.append(label_str(lb))
         case = _tally(f"level-{deg:02d}", bad, deg + 1, "states")
-        if case.passed:
-            shown = ", ".join(format_rat(v) for v in sorted(values))
-            case = Case(case.name, True, f"eigenvalues {shown}")
+        if case.passed and passing is not None:
+            case = Case(case.name, True, passing(deg, values))
         cases.append(case)
     return cases
 
 
+def _suite_eigen(params: Params, max_degree: int) -> List[Case]:
+    return _eigen_levels(
+        params, max_degree, lambda f: apply_named("Hhat", f, params),
+        lambda lb: energy(lb.degree, params),
+        lambda deg, values: (f"{deg + 1} states at energy "
+                             f"{format_rat(values[0])}"))
+
+
+def _suite_j2(params: Params, max_degree: int) -> List[Case]:
+    return _eigen_levels(
+        params, max_degree, lambda f: apply_named("J2", f, params),
+        lambda lb: j2_eigenvalue(lb, params),
+        lambda deg, values: "eigenvalues " + ", ".join(
+            format_rat(v) for v in sorted(values)))
+
+
 def _suite_rho1(params: Params, max_degree: int) -> List[Case]:
     quarter = rotation(1)
-    cases = []
-    for deg in range(max_degree + 1):
-        bad = []
-        for lb in enumerate_basis(deg):
-            f = psi(lb, params)
-            if act(quarter, f) != rho1_eigenvalue(lb) * f:
-                bad.append(label_str(lb))
-        cases.append(_tally(f"level-{deg:02d}", bad, deg + 1, "states"))
-    return cases
+    return _eigen_levels(params, max_degree, lambda f: act(quarter, f),
+                         rho1_eigenvalue)
 
 
 def _match_table(expansion, predicted, params: Params,

@@ -124,6 +124,20 @@ def test_spectator_polynomials_through_memo_equal_direct_quotient(p, params):
         assert apply_dunkl(var, p, params) == direct_dunkl(var, p, params)
 
 
+@given(st.sampled_from([(), ("u",), ("u", "ub")]).flatmap(polys),
+       st.fractions(min_value=Q(1, 12), max_value=3, max_denominator=12))
+@settings(max_examples=30, deadline=None)
+def test_zero_couplings_give_ordinary_derivatives(p, w):
+    # at k0 = k1 = 0 every reflection quotient drops out: the Dunkl
+    # operators are the partial derivatives, and Hcal is the oscillator
+    # w^2 z zb - 4 d_z d_zb; neither call asks for generic params
+    pr = Params.numeric(0, 0, w)
+    for var in ("z", "zb"):
+        assert apply_dunkl(var, p, pr) == p.diff(var)
+    assert apply(named("Hcal"), p, pr) == \
+        w * w * Z * ZB * p - 4 * p.diff("z").diff("zb")
+
+
 @pytest.mark.parametrize("params", [
     DEFAULT_PARAMS,
     Params.numeric("9973/10007", "7919/8081", "4999/5003"),

@@ -131,8 +131,9 @@ def test_exact_division_by_reflection_lines():
     # z^2 + zb^2 = (z - i zb)(z + i zb)
     d = Z - QI(0, 1) * ZB
     assert (Z**2 + ZB**2).divide_linear(d) == Z + QI(0, 1) * ZB
-    # single-variable divisor
-    assert (Z**3 * ZB).divide_linear(2 * Z) == Q(1, 2) * Z**2 * ZB
+    # a scaled line
+    assert (Z**3 * ZB - Z**2 * ZB**2).divide_linear(2 * Z - 2 * ZB) == \
+        Q(1, 2) * Z**2 * ZB
 
 
 def test_division_with_parameter_coefficients():
@@ -145,7 +146,7 @@ def test_inexact_division_raises():
     with pytest.raises(ExactDivisionError):
         (Z**2 + 1).divide_linear(Z - ZB)
     with pytest.raises(ExactDivisionError):
-        (Z + ZB).divide_linear(2 * Z)
+        (Z + ZB).divide_linear(2 * Z - 2 * ZB)
     with pytest.raises(ValueError):
         Z.divide_linear(Z**2 - ZB)     # not a linear form
     with pytest.raises(ZeroDivisionError):
@@ -155,6 +156,14 @@ def test_inexact_division_raises():
         MPoly.const(5).divide_linear(Z - ZB)
     with pytest.raises(ExactDivisionError):
         ZB.divide_linear(Z - 3 * ZB)
+
+
+def test_one_term_divisor_is_rejected():
+    # every caller divides by a mirror line z - i^j zb; a monomial divisor
+    # is not a line and raises, even where it would divide exactly
+    for d in (2 * Z, ZB, QI(0, 2) * K0):
+        with pytest.raises(ValueError, match="two terms"):
+            (Z**3 * ZB * K0).divide_linear(d)
 
 
 def test_json_round_trip_is_byte_stable():
@@ -263,7 +272,8 @@ def test_cancellation_removes_variables():
     assert (Z * U - U * Z).vars == () and (Z * U - U * Z).is_zero()
     assert ((Z + ZB) * (Z - ZB) + ZB**2).vars == ("z",)
     assert (Z * U + W).diff("z").vars == ("u",)
-    assert ((ZB * U + W * Z) - W * Z).divide_linear(ZB).vars == ("u",)
+    assert (((Z - ZB) * U + W * Z) - W * Z).divide_linear(Z - ZB).vars == \
+        ("u",)
     for r in ((Z + U) - U, (Z * U + W).diff("z"), (U + 1) * (U - 1) - U * U):
         assert_canonical(r)
 
@@ -285,7 +295,7 @@ def test_ring_results_equal_validated_rebuild(p, q, r):
 @settings(max_examples=60)
 def test_divide_linear_results_equal_validated_rebuild(p, q, j, other):
     lines = (Z - QI.i_power(j) * MPoly.var(other), 3 * U - QI(1, 2) * W,
-             QI(0, 2) * MPoly.var(other))
+             QI(0, 2) * MPoly.var(other) - MPoly.var("ub"))
     for d in lines:
         for num in (p * d, (p + q) * d - q * d):
             res = num.divide_linear(d)
