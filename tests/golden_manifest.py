@@ -13,7 +13,8 @@ a group element of the wrong JSON type, an unknown named operator, a
 polynomial that repeats an exponent, and settings read from the
 environment, one of them malformed and one overridden by its flag.  It
 also pins the hatted components Hhat_1 and Hhat_3, which no suite applies, a hatted operator on a polynomial with spectator
-variables, and a table value above 10^30.  An entry may carry an ``env``
+variables, a table value above 10^30, and the h0, k and j2 tables at
+degree 12 at the high-height triple.  An entry may carry an ``env``
 dict, the environment its command runs with (empty when absent).
 A refactor that must keep outputs byte-identical regenerates nothing:
 `tests/test_golden.py` replays the committed manifest.  Regenerate it
@@ -137,6 +138,9 @@ def commands() -> List[List[str]]:
                ["apply", "--op", "Khat", "--poly",
                 json.dumps(SPECTATOR_POLY)],
                ["table", "k", "--degree", "4", "--omega", "100000000"]]
+            # coefficient tables down to chain position j = 6
+            + [["table", which, "--degree", "12"] + HIGH_HEIGHT
+               for which in ("h0", "k", "j2")]
             # the default suite list, and an empty chunk in a suite list
             + [["verify", "--max-degree", "1"],
                ["verify", "--suite", ",eigen,", "--max-degree", "1"]]
