@@ -4,29 +4,46 @@ predictions those tables are checked against.
 
 Every operator that commutes with the oscillator Hamiltonian maps the span
 of one energy level into itself, so its action is a finite exact matrix per
-total degree.  The computed tables come from applying the operator and
-expanding the image in the level's basis.  A level element is fixed by its
-top-degree part, so the expansion solves one square system in the top-degree
-coefficients and then checks that the basis combination it gives rebuilds
-the image exactly.  The predicted tables are rational closed forms in the
-tower index n and chain position j.  The two are compared entry by entry
-elsewhere; here both sides are merely constructed.
+total degree.  A level element is fixed by its top-degree part, so `expand`
+solves one square system in the top-degree coefficients and then checks
+that the basis combination it gives rebuilds its input exactly.
+
+The computed tables take a shorter path.  The top-degree part of a basis
+function is its harmonic seed times (-w z zb)^j / j!, and no table operator
+(Khat, Hhat_0, J2) raises degree, so the top-degree part of an image of a
+basis function is that of the image of its top slice.  A table row applies
+the operator to the slice and solves the square system, with no basis
+function built and no rebuild.  So a table command no longer raises
+NotInSpanError for an image outside its level.  That is sound because the
+`kernel` suite proves, with the couplings and the frequency symbolic, that
+K, H_0 and J commute with the Hamiltonian (`quartic-hamiltonian`,
+`hamiltonian-component-0`, `hamiltonian-angular`).  Conjugation by the
+Gaussian preserves these identities: it takes K and H_0 to Khat and
+Hhat_0 and leaves J fixed, so Khat, Hhat_0 and J2 = J J map every level
+into itself.  The `verify` suites still check full images
+(`hamiltonian-commutes`, `closed-form-on-basis`,
+`opposite-component-reconstruction`).
+
+The predicted tables are rational closed forms in the tower index n and
+chain position j.  The two are compared entry by entry elsewhere; here
+both sides are merely constructed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 from typing import Dict, List, Tuple
 
-from .basis import (BasisLabel, energy, enumerate_basis, norm, psi,
-                    seed_norm_rel)
+from .basis import (BasisLabel, energy, enumerate_basis, harmonic_seed, norm,
+                    psi, seed_norm_rel)
 from .linsolve import LinearSolver, NotInSpanError
 from .operators import apply_named
 from .params import Params
-from .poly import Exponent, MPoly, from_terms
+from .poly import UNIVERSE, Exponent, MPoly, from_terms
 from .record import Record
-from .scalars import QI, format_rat
+from .scalars import QI, ZERO, format_rat
 
 
 def label_str(label: BasisLabel) -> str:
@@ -44,6 +61,28 @@ def parse_label(text: str) -> BasisLabel:
 
 # ---- expansion in one energy level ---------------------------------------
 
+# the exponent of z^a zb^b is (a, b) followed by zeros for the other variables
+_SPECTATORS = (0,) * (len(UNIVERSE) - 2)
+
+
+def _top_block(p: MPoly, degree: int) -> List[QI]:
+    """p's coefficients of z^a zb^(degree - a), for a = degree down to 0."""
+    terms = p.terms
+    return [terms.get((a, degree - a) + _SPECTATORS, ZERO)
+            for a in range(degree, -1, -1)]
+
+
+@lru_cache(maxsize=None)
+def _top(label: BasisLabel, params: Params) -> MPoly:
+    """Top-degree part of psi(label): seed times (-w z zb)^j / j!.
+
+    The Laguerre factor's leading coefficient is (-1)^j / j!, so the slice
+    needs only the harmonic seed, never the whole basis function.
+    """
+    family, n, j = label.classify()
+    radial = MPoly(("z", "zb"), {(j, j): (-params.w) ** j / factorial(j)})
+    return harmonic_seed(family, n, params) * radial
+
 
 @lru_cache(maxsize=None)
 def _level_basis(degree: int,
@@ -56,16 +95,23 @@ def _level_basis(degree: int,
 def _level_solver(degree: int, params: Params) -> LinearSolver:
     """Solver for the top-degree coefficients of the level's basis.
 
-    Each basis function is a harmonic seed times a Laguerre polynomial in
-    w z zb, so their top-degree parts, seed times (z zb)^j, are a basis of
-    the homogeneous polynomials of the level's degree.  Row a holds the
-    coefficients of z^a zb^(degree - a).  A singular block makes every
+    The top-degree parts of the basis functions, seed times (z zb)^j, are a
+    basis of the homogeneous polynomials of the level's degree.  Row a holds
+    the coefficients of z^a zb^(degree - a).  A singular block makes every
     solve raise UnderdeterminedError.
     """
-    basis = _level_basis(degree, params)
-    return LinearSolver([
-        [f.coefficient({"z": a, "zb": degree - a}) for _, f in basis]
-        for a in range(degree, -1, -1)])
+    columns = [_top_block(_top(lb, params), degree)
+               for lb in enumerate_basis(degree)]
+    return LinearSolver(list(zip(*columns)))
+
+
+def _coordinates(p: MPoly, degree: int,
+                 params: Params) -> Tuple[Tuple[BasisLabel, QI], ...]:
+    """The nonzero coordinates, in label order, of the level element whose
+    degree-`degree` part is that of p."""
+    coords = _level_solver(degree, params).solve(_top_block(p, degree))
+    return tuple((lb, c) for lb, c in zip(enumerate_basis(degree), coords)
+                 if c)
 
 
 def expand(p: MPoly, degree: int, params: Params) -> Dict[BasisLabel, QI]:
@@ -79,14 +125,11 @@ def expand(p: MPoly, degree: int, params: Params) -> Dict[BasisLabel, QI]:
     for v in p.vars:
         if v not in ("z", "zb"):
             raise ValueError(f"not a coordinate polynomial: contains {v!r}")
-    coords = _level_solver(degree, params).solve(
-        [p.coefficient({"z": a, "zb": degree - a})
-         for a in range(degree, -1, -1)])
-    out: Dict[BasisLabel, QI] = {}
+    out = dict(_coordinates(p, degree, params))
     rebuilt: Dict[Exponent, QI] = {}
-    for (lb, f), c in zip(_level_basis(degree, params), coords):
-        if c:
-            out[lb] = c
+    for lb, f in _level_basis(degree, params):
+        c = out.get(lb)
+        if c is not None:
             for exp, fc in f.terms.items():
                 prev = rebuilt.get(exp)
                 rebuilt[exp] = c * fc + prev if prev is not None else c * fc
@@ -96,32 +139,37 @@ def expand(p: MPoly, degree: int, params: Params) -> Dict[BasisLabel, QI]:
 
 
 # ---- cached operator actions on basis functions ---------------------------
+#
+# Each row applies its operator to the top slice `_top(label)` alone and is
+# not rebuilt; the module docstring says why that is sound.
 
 
 @lru_cache(maxsize=None)
 def h0_shifted_expansion(label: BasisLabel,
                          params: Params) -> Tuple[Tuple[BasisLabel, QI], ...]:
     """Expansion of (component-zero Hamiltonian - E/2) psi; diagonal-free."""
-    f = psi(label, params)
+    top = _top(label, params)
     n = label.degree
-    r = apply_named("Hhat_0", f, params) - Fraction(1, 2) * energy(n, params) * f
-    return tuple(expand(r, n, params).items())
+    r = apply_named("Hhat_0", top, params) \
+        - Fraction(1, 2) * energy(n, params) * top
+    return _coordinates(r, n, params)
 
 
 @lru_cache(maxsize=None)
 def khat_expansion(label: BasisLabel,
                    params: Params) -> Tuple[Tuple[BasisLabel, QI], ...]:
     """Expansion of the quartic invariant applied to one basis function."""
-    r = apply_named("Khat", psi(label, params), params)
-    return tuple(expand(r, label.degree, params).items())
+    r = apply_named("Khat", _top(label, params), params)
+    return _coordinates(r, label.degree, params)
 
 
 @lru_cache(maxsize=None)
 def j2_expansion(label: BasisLabel,
                  params: Params) -> Tuple[Tuple[BasisLabel, QI], ...]:
-    f = psi(label, params)
-    r = apply_named("J2", f, params)
-    return tuple(expand(r, label.degree, params).items())
+    """Expansion of the squared angular momentum applied to one basis
+    function."""
+    r = apply_named("J2", _top(label, params), params)
+    return _coordinates(r, label.degree, params)
 
 
 # ---- coefficient tables ----------------------------------------------------

@@ -3,13 +3,13 @@ norm symmetry, and the non-commutation witness."""
 
 import json
 from fractions import Fraction as Q
-from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import level_oracle
-from b2dunkl.basis import BasisLabel, enumerate_basis, harmonic_seed, psi
+from b2dunkl import spectra
+from b2dunkl.basis import BasisLabel, energy, enumerate_basis, psi
 from b2dunkl.operators import apply_named
 from b2dunkl.params import DEFAULT_PARAMS as P
 from b2dunkl.params import EXTRA_PARAM_SETS, Params
@@ -17,9 +17,10 @@ from b2dunkl.poly import MPoly, from_terms
 from b2dunkl.scalars import QI
 from b2dunkl.spectra import (
     NotInSpanError, _level_solver, adjudicate_mirror_diagonals, expand,
-    h0_shifted_expansion, h0_table, j2_table, k_table, khat_expansion,
-    label_str, norm_table, parse_label, predicted_h0, predicted_k,
+    h0_shifted_expansion, h0_table, j2_expansion, j2_table, k_table,
+    khat_expansion, label_str, norm_table, parse_label, predicted_h0, predicted_k,
 )
+from memos import clear_memos
 from norm_oracle import norm_ratio
 
 P2 = EXTRA_PARAM_SETS[0]
@@ -118,12 +119,10 @@ def _top_slices(params):
 
 @pytest.mark.parametrize("params", TRIPLES, ids=lambda p: p.label())
 def test_top_degree_part_is_the_seed_times_a_radial_power(params):
-    # the leading Laguerre coefficient is (-1)^j / j!
-    radial = -params.w * MPoly.var("z") * MPoly.var("zb")
-    for lb, j, _, top in _top_slices(params):
-        family, n, _ = lb.classify()
-        assert top == (harmonic_seed(family, n, params) * radial ** j
-                       * Q(1, factorial(j)))
+    # the leading Laguerre coefficient is (-1)^j / j!, so the closed form
+    # the tables read, seed times (-w z zb)^j / j!, is the top part of psi
+    for lb, _, _, top in _top_slices(params):
+        assert spectra._top(lb, params) == top
 
 
 @pytest.mark.parametrize("params", TRIPLES, ids=lambda p: p.label())
@@ -158,6 +157,39 @@ def test_table_operators_never_raise_degree(drawn, params):
     for name, drops in DEGREE_DROPS.items():
         image = apply_named(name, p, params)
         assert {d - sum(e) for e in image.terms} <= drops, name
+
+
+@st.composite
+def labels(draw):
+    """A basis label of total degree at most 10."""
+    degree = draw(st.integers(0, 10))
+    b = draw(st.integers(0, degree))
+    return BasisLabel(degree - b, b)
+
+
+@given(labels(), st.sampled_from(TRIPLES))
+@settings(max_examples=30, deadline=None)
+def test_table_rows_equal_the_expansion_of_the_full_image(label, params):
+    # the rows read from the top slice alone, against the old path: the
+    # whole image of psi, expanded and rebuilt exactly
+    f = psi(label, params)
+    n = label.degree
+    images = {
+        khat_expansion: apply_named("Khat", f, params),
+        h0_shifted_expansion: apply_named("Hhat_0", f, params)
+        - Q(1, 2) * energy(n, params) * f,
+        j2_expansion: apply_named("J2", f, params),
+    }
+    for expansion, image in images.items():
+        want = tuple(expand(image, n, params).items())
+        assert expansion(label, params) == want, expansion.__name__
+
+
+def test_tables_build_no_basis_function():
+    clear_memos()
+    for table in (k_table, h0_table, j2_table):
+        table(12, HIGH)
+    assert psi.cache_info().misses == 0
 
 
 @pytest.mark.parametrize("predict", [predicted_h0, predicted_k])
