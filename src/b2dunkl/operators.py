@@ -38,6 +38,10 @@ or from inside a walk, answers from images of single monomials z^a zb^b
 that monomial shares.  The monomials an input brings that the table
 lacks are imaged by one walk (`_fill_images`).  Symbolic params always
 walk, because no symbolic image is reused.
+
+`DEGREE_PRESERVING` holds the parts of Khat and Hhat_0 that keep the
+degree of a homogeneous input; the coefficient tables apply them to the
+top-degree slices of basis functions, through image tables of their own.
 """
 
 from __future__ import annotations
@@ -264,8 +268,8 @@ def visit(expr: Expr, x, params: Params, recurse, memo: dict):
 @lru_cache(maxsize=None)
 def _image_table(tree: int, params: Params) -> Dict[Tuple[int, int], Terms]:
     """Images of the monomials z^a zb^b, keyed by (a, b), under the
-    registry tree with id `tree` at numeric params; filled by
-    `_fill_images` and read by every `apply` of the tree.  Registry trees
+    tabulated tree with id `tree` at numeric params; filled by
+    `_fill_images` and read by every `apply` of the tree.  Tabulated trees
     live as long as the module, so their ids stay valid."""
     return {}
 
@@ -282,7 +286,7 @@ def _fill_images(expr: Expr, missing: Collection[Tuple[int, int]],
 
     Each z^a zb^b is tagged u^a ub^b, and the image of the tagged sum is
     split by its (u, ub) exponents.  That is sound because the
-    coefficients of a registry tree at numeric params hold only z and zb,
+    coefficients of a tabulated tree at numeric params hold only z and zb,
     and both `act` and the Dunkl step leave u and ub alone.  Each fill
     tags a fresh input of its own, so a fill started from inside another
     walk never sees that walk's spectators.  One walk per input keeps the
@@ -303,10 +307,11 @@ def _fill_images(expr: Expr, missing: Collection[Tuple[int, int]],
 def apply(expr: Expr, p: MPoly, params: Params, memo=None) -> MPoly:
     """Apply an operator tree to a polynomial.
 
-    One rule: a registry tree other than T and Tb at numeric params,
-    called at top level or by `visit` from inside a walk, combines the
-    per-monomial images of `_image_table`, each scaled by its term's
-    coefficient and spectator cofactor.  Any other tree walks, sharing
+    One rule: a registry tree other than T and Tb, or a part in
+    `DEGREE_PRESERVING`, at numeric params, called at top level or by
+    `visit` from inside a walk, combines the per-monomial images of
+    `_image_table`, each scaled by its term's coefficient and spectator
+    cofactor.  Any other tree walks, sharing
     registry images within a fresh memo at top level or the walk's `memo`
     inside one.  Symbolic params walk too: no symbolic image is reused,
     so a table would only cost its fill (a copy that tabulated them was
@@ -421,8 +426,32 @@ def _build_registry() -> Dict[str, Expr]:
 
 _REGISTRY = _build_registry()
 _REGISTRY_IDS = frozenset(map(id, _REGISTRY.values()))
+
+
+def _anticommutator(a: Expr, x: MPoly) -> Expr:
+    return Sum((Compose((a, Mul(x))), Compose((Mul(x), a))))
+
+
+# The parts of Khat and Hhat_0 that keep the degree of a homogeneous input.
+# With S = T zb + zb T and Sb = Tb z + z Tb, hatting turns the parts
+# a = 2T^2 - w^2 zb^2 / 2 and b = 2Tb^2 - w^2 z^2 / 2 of K = a^2 + b^2 into
+# 2T^2 - w S and 2Tb^2 - w Sb, so Khat = 4T^4 - 2w (T^2 S + S T^2) + w^2 S^2
+# + (the same in Tb, Sb).  With L = T - Tb and l_0 = z - zb,
+# H_0 = L^2 - w^2 l_0^2 / 4 becomes Hhat_0 = L^2 + w/2 (L l_0 + l_0 L).
+# T and Tb lower degree by one, and S, Sb and L l_0 + l_0 L keep it, so
+# what keeps degree is w^2 (S^2 + Sb^2) and w/2 (L l_0 + l_0 L).  Tests
+# prove both splits with symbolic couplings.  J2 keeps degree as it is.
+_S = _anticommutator(T, _ZB)
+_SB = _anticommutator(TB, _Z)
+DEGREE_PRESERVING: Dict[str, Expr] = {
+    "Khat": Compose((Mul(_W * _W),
+                     Sum((Compose((_S, _S)), Compose((_SB, _SB)))))),
+    "Hhat_0": Compose((Mul(Fraction(1, 2) * _W),
+                       _anticommutator(_lower(0), ell(0)))),
+}
 # T and Tb image monomials through `_monomial_image` already
-_TABULATED = _REGISTRY_IDS - {id(T), id(TB)}
+_TABULATED = ((_REGISTRY_IDS | frozenset(map(id, DEGREE_PRESERVING.values())))
+              - {id(T), id(TB)})
 
 OPERATOR_NAMES = tuple(sorted(_REGISTRY))
 

@@ -11,9 +11,11 @@ that the basis combination it gives rebuilds its input exactly.
 The computed tables take a shorter path.  The top-degree part of a basis
 function is its harmonic seed times (-w z zb)^j / j!, and no table operator
 (Khat, Hhat_0, J2) raises degree, so the top-degree part of an image of a
-basis function is that of the image of its top slice.  A table row applies
-the operator to the slice and solves the square system, with no basis
-function built and no rebuild.  So a table command no longer raises
+basis function is the image of its top slice under the operator's
+degree-preserving part (`operators.DEGREE_PRESERVING`; J2 keeps degree as
+it is).  A table row applies that part to the slice and solves the square
+system, with no basis function built, no lower-degree term imaged and no
+rebuild.  So a table command no longer raises
 NotInSpanError for an image outside its level.  That is sound because the
 `kernel` suite proves, with the couplings and the frequency symbolic, that
 K, H_0 and J commute with the Hamiltonian (`quartic-hamiltonian`,
@@ -39,7 +41,7 @@ from typing import Dict, List, Tuple
 from .basis import (BasisLabel, energy, enumerate_basis, harmonic_seed, norm,
                     psi, seed_norm_rel)
 from .linsolve import LinearSolver, NotInSpanError
-from .operators import apply_named
+from .operators import DEGREE_PRESERVING, apply, apply_named
 from .params import Params
 from .poly import UNIVERSE, Exponent, MPoly, from_terms
 from .record import Record
@@ -140,8 +142,9 @@ def expand(p: MPoly, degree: int, params: Params) -> Dict[BasisLabel, QI]:
 
 # ---- cached operator actions on basis functions ---------------------------
 #
-# Each row applies its operator to the top slice `_top(label)` alone and is
-# not rebuilt; the module docstring says why that is sound.
+# Each row applies the degree-preserving part of its operator to the top
+# slice `_top(label)` alone and is not rebuilt; the module docstring says
+# why that is sound.
 
 
 @lru_cache(maxsize=None)
@@ -150,7 +153,7 @@ def h0_shifted_expansion(label: BasisLabel,
     """Expansion of (component-zero Hamiltonian - E/2) psi; diagonal-free."""
     top = _top(label, params)
     n = label.degree
-    r = apply_named("Hhat_0", top, params) \
+    r = apply(DEGREE_PRESERVING["Hhat_0"], top, params) \
         - Fraction(1, 2) * energy(n, params) * top
     return _coordinates(r, n, params)
 
@@ -159,7 +162,7 @@ def h0_shifted_expansion(label: BasisLabel,
 def khat_expansion(label: BasisLabel,
                    params: Params) -> Tuple[Tuple[BasisLabel, QI], ...]:
     """Expansion of the quartic invariant applied to one basis function."""
-    r = apply_named("Khat", _top(label, params), params)
+    r = apply(DEGREE_PRESERVING["Khat"], _top(label, params), params)
     return _coordinates(r, label.degree, params)
 
 

@@ -384,6 +384,29 @@ def test_hatted_operator_proven_equal_to_hand_form(name):
     assert prove(named(name), HAND_FORMS[name]).proven
 
 
+# What lowers degree in Khat and Hhat_0, by hand: with S = T zb + zb T,
+# Khat = 4T^4 - 2w (T^2 S + S T^2) + (the same in Tb and Sb = Tb z + z Tb)
+# plus its degree-preserving part, and Hhat_0 = (T - Tb)^2 plus its part.
+# Each term here holds more Dunkl steps than multiplications by z, zb.
+def lowering_quartic_hat():
+    def lowering(d, x):
+        s = Sum((Compose((d, Mul(x))), Compose((Mul(x), d))))
+        return Sum((scaled(4, d, d, d, d), Compose((Mul(-2 * W), d, d, s)),
+                    Compose((Mul(-2 * W), s, d, d))))
+    return Sum((lowering(DT, ZB), lowering(DTB, Z)))
+
+
+LOWER_0 = Sum((DT, scaled(-1, DTB)))
+LOWERING_PARTS = {"Khat": lowering_quartic_hat(),
+                  "Hhat_0": Compose((LOWER_0, LOWER_0))}
+
+
+@pytest.mark.parametrize("name", sorted(operators.DEGREE_PRESERVING))
+def test_degree_preserving_part_completes_the_lowering_terms(name):
+    whole = Sum((LOWERING_PARTS[name], operators.DEGREE_PRESERVING[name]))
+    assert prove(named(name), whole).proven
+
+
 @given(polys(("u",)), st.one_of(numeric_triples(), st.just(SYM)))
 @example(Z ** 3 * ZB ** 2 * MPoly.var("u") + 1, SYM)
 @settings(max_examples=25, deadline=None)

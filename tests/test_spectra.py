@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import level_oracle
 from b2dunkl import spectra
 from b2dunkl.basis import BasisLabel, energy, enumerate_basis, psi
-from b2dunkl.operators import apply_named
+from b2dunkl.operators import DEGREE_PRESERVING, apply, apply_named
 from b2dunkl.params import DEFAULT_PARAMS as P
 from b2dunkl.params import EXTRA_PARAM_SETS, Params
 from b2dunkl.poly import MPoly, from_terms
@@ -190,6 +190,16 @@ def test_tables_build_no_basis_function():
     for table in (k_table, h0_table, j2_table):
         table(12, HIGH)
     assert psi.cache_info().misses == 0
+
+
+@given(homogeneous(), st.sampled_from(TRIPLES))
+@settings(max_examples=40, deadline=None)
+def test_degree_preserving_parts_give_the_top_of_the_image(drawn, params):
+    d, p = drawn
+    for name, part in DEGREE_PRESERVING.items():
+        image = apply_named(name, p, params)
+        top = {e: c for e, c in image.terms.items() if sum(e) == d}
+        assert apply(part, p, params) == from_terms(top), name
 
 
 @pytest.mark.parametrize("predict", [predicted_h0, predicted_k])
