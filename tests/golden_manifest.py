@@ -13,8 +13,8 @@ a group element of the wrong JSON type, an unknown named operator, a
 polynomial that repeats an exponent, and settings read from the
 environment, one of them malformed and one overridden by its flag.  It
 also pins the hatted components Hhat_1 and Hhat_3, which no suite applies, a hatted operator on a polynomial with spectator
-variables, a table value above 10^30, and the h0, k and j2 tables at
-degree 12 at the high-height triple.  An entry may carry an ``env``
+variables, a table value above 10^30, the h0, k and j2 tables at
+degree 12 at the high-height triple, and z times z^(2^31).  An entry may carry an ``env``
 dict, the environment its command runs with (empty when absent).
 A refactor that must keep outputs byte-identical regenerates nothing:
 `tests/test_golden.py` replays the committed manifest.  Regenerate it
@@ -86,6 +86,9 @@ SPECTATOR_POLY = {"vars": ["z", "zb", "u", "k0"], "terms": [
 # two terms with one exponent, which add up
 REPEATED_EXPONENT = {"vars": ["z"], "terms": [
     {"exp": [1], "re": "1", "im": "0"}, {"exp": [1], "re": "2", "im": "0"}]}
+# z, and z^(2^31), the first power whose exponent needs 32 bits
+Z_POLY = {"vars": ["z"], "terms": [{"exp": [1], "re": "1", "im": "0"}]}
+Z_2_31 = {"vars": ["z"], "terms": [{"exp": [2 ** 31], "re": "1", "im": "0"}]}
 
 
 def _sha(text: str) -> str:
@@ -181,7 +184,10 @@ def commands() -> List[List[str]]:
                for op in ('{"op": "group", "element": 5}',
                           '{"op": "named", "name": "nope"}')]
             + [["apply", "--op", "J", "--poly",
-                json.dumps(REPEATED_EXPONENT)]])
+                json.dumps(REPEATED_EXPONENT)]]
+            # an exponent of 2^31 times z
+            + [["apply", "--op", json.dumps({"op": "mul", "poly": Z_POLY}),
+                "--poly", json.dumps(Z_2_31)]])
 
 
 # commands run with settings from the environment: (env, argv)
