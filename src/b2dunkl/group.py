@@ -16,9 +16,14 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from .poly import MPoly, from_terms
+from .poly import MASK, SHIFT, MPoly, from_terms
 from .record import Ordered
 from .scalars import QI
+
+
+_Z, _ZB = SHIFT["z"], SHIFT["zb"]
+# exp - (z - zb) SWAP swaps the z and zb exponents of exp
+SWAP = (1 << _Z) - (1 << _ZB)
 
 
 class GroupElem(Ordered):
@@ -68,17 +73,18 @@ def parse_elem(name: str) -> GroupElem:
 def act(g: GroupElem, p: MPoly) -> MPoly:
     """Action on polynomials: (g.p)(x) = p(x moved by g).
 
-    Only the coordinates z, zb (the first two exponents) transform; all
-    other variables are spectators.  The map on exponents is one-to-one, so
-    the image needs no merging.
+    Only the coordinates z, zb (the two highest exponent fields) transform;
+    all other variables are spectators.  A reflection swaps the two fields
+    with one multiply-add.  The map on exponents is one-to-one, so the
+    image needs no merging.
     """
     if g == IDENTITY:
         return p
+    swap = SWAP if g.refl else 0
     out = {}
     for exp, c in p.terms.items():
-        ez, ezb = exp[0], exp[1]
-        nexp = (ezb, ez) + exp[2:] if g.refl else exp
-        out[nexp] = QI.i_power(g.k * (ez - ezb)) * c
+        d = (exp >> _Z) - ((exp >> _ZB) & MASK)       # z minus zb
+        out[exp - d * swap] = QI.i_power(g.k * d) * c
     return from_terms(out)
 
 

@@ -42,56 +42,108 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from fractions import Fraction
-from functools import lru_cache
+from functools import reduce
+from operator import or_
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
-from .group import (GroupElem, act, elem_name, inv, mul, reflection,
-                    rotation, IDENTITY)
+# `_relabel` moves exponents itself and no longer calls `act`; the name
+# stays bound here because the benchmark's tracer wraps kernel.act
+from .group import (ALL_ELEMENTS, SWAP, GroupElem, act,  # noqa: F401
+                    elem_name, inv, mul, reflection, rotation, IDENTITY)
 from .operators import (Commutator, Compose, Expr, GroupOp, Mul, Sum,
                         evaluate, monomial_quotients, named, visit)
 from .params import Params
-from .poly import UNIVERSE, Exponent, MPoly, from_terms
+from .poly import (GUARD, MASK, SHIFT, UNIVERSE, WIDTH, Exponent, MPoly,
+                   add_product, from_terms)
 from .record import Record
 from .scalars import QI
 
 _HALF = Fraction(1, 2)
 _W = MPoly.var("w")
 
+# the element field: copy g of a state keeps its terms at index(g) << _ELEM
+_ELEM = WIDTH * len(UNIVERSE)
+_AMPLITUDE = (1 << _ELEM) - 1          # the polynomial part of a key
+_Z, _ZB = SHIFT["z"], SHIFT["zb"]
+_SPECTATORS = (1 << _ZB) - 1           # u, ub, k0, k1 and w
+
+
+def _index(g: GroupElem) -> int:
+    """g's position in ALL_ELEMENTS: 4 refl + k."""
+    return 4 * g.refl + g.k
+
 
 class KernelState(Record):
-    """Group-indexed family of amplitudes; zero amplitudes are dropped.
-    Do not mutate ``parts``: the seed state and memoised images are shared
-    by the proofs of a scope.  Its amplitudes do not hash, so neither does
-    a state; compare states with ==."""
+    """Group-indexed family of amplitudes, held as one term dict: the
+    amplitude of copy g has its terms at the packed exponent plus
+    `_index(g)` in the element field above z.  Zero terms are dropped.
+    Do not mutate ``terms``: the seed state and memoised images are shared
+    by the proofs of a scope.  Its dict does not hash, so neither does a
+    state; compare states with ==."""
 
-    __slots__ = ("parts",)
+    __slots__ = ("terms",)
 
     def __init__(self, parts: Optional[Mapping[GroupElem, MPoly]] = None):
-        Record.__init__(self, {g: p for g, p in (parts or {}).items()
-                               if not p.is_zero()})
+        Record.__init__(self, {
+            (_index(g) << _ELEM) + exp: c
+            for g, p in (parts or {}).items() for exp, c in p.terms.items()})
+
+    @classmethod
+    def _of(cls, terms: Dict[Exponent, QI]) -> "KernelState":
+        """State from a term dict that holds no zero coefficient."""
+        out = cls.__new__(cls)
+        object.__setattr__(out, "terms", terms)
+        return out
+
+    @classmethod
+    def _nonzero(cls, terms: Dict[Exponent, QI]) -> "KernelState":
+        """State from a term dict, its zero coefficients dropped."""
+        return cls._of({e: c for e, c in terms.items() if c})
+
+    @property
+    def parts(self) -> Dict[GroupElem, MPoly]:
+        """The nonzero amplitude of each copy, split out of ``terms``."""
+        split: Dict[int, Dict[Exponent, QI]] = {}
+        for exp, c in self.terms.items():
+            split.setdefault(exp >> _ELEM, {})[exp & _AMPLITUDE] = c
+        return {ALL_ELEMENTS[i]: from_terms(t) for i, t in split.items()}
 
     def is_zero(self) -> bool:
-        return not self.parts
+        return not self.terms
 
     def items(self) -> Iterable[Tuple[GroupElem, MPoly]]:
         # keys are distinct, so GroupElem's (refl, k) order decides
         return sorted(self.parts.items())
 
     def __add__(self, other: "KernelState") -> "KernelState":
-        acc = dict(self.parts)
-        for g, p in other.parts.items():
-            prev = acc.get(g)
-            acc[g] = p + prev if prev is not None else p
-        return KernelState(acc)
+        acc = dict(self.terms)
+        for e, c in other.terms.items():
+            prev = acc.get(e)
+            if prev is None:
+                acc[e] = c
+                continue
+            c += prev
+            if c:
+                acc[e] = c
+            else:
+                del acc[e]
+        return KernelState._of(acc)
 
     def __neg__(self) -> "KernelState":
-        return KernelState({g: -p for g, p in self.parts.items()})
+        return KernelState._of({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "KernelState") -> "KernelState":
         return self + (-other)
 
     def __mul__(self, q: MPoly) -> "KernelState":
-        return KernelState({g: q * p for g, p in self.parts.items()})
+        """Every amplitude times q; q's exponents leave the element field
+        alone."""
+        if len(q.terms) == 1 and 0 in q.terms:
+            k = q.terms[0]
+            return KernelState._of({e: c * k for e, c in self.terms.items()})
+        out: Dict[Exponent, QI] = {}
+        add_product(out, self.terms, q.terms)
+        return KernelState._nonzero(out)
 
     def to_json_dict(self) -> dict:
         return {"entries": [{"element": elem_name(g),
@@ -112,7 +164,6 @@ def k_initial() -> KernelState:
     return _SEED
 
 
-@lru_cache(maxsize=None)
 def _half_dual(var: str, w: GroupElem) -> Tuple[int, QI]:
     """The half dual-coordinate factor of the w-copy in the var direction,
     which is one monomial: the universe index of its variable and half its
@@ -124,57 +175,83 @@ def _half_dual(var: str, w: GroupElem) -> Tuple[int, QI]:
     return UNIVERSE.index("ub"), QI.i_power(w.k) * _HALF
 
 
-@lru_cache(maxsize=None)
-def _reflected(w: GroupElem) -> Tuple[GroupElem, ...]:
-    """The copies s_j w that the reflection quotients of the w-copy move to,
-    indexed by mirror line j."""
-    return tuple(mul(reflection(j), w) for j in range(4))
-
-
 # the exponents that symbolic kappa_0 = k0 and kappa_1 = k1 raise
-_KAPPA_SLOTS = (UNIVERSE.index("k0"), UNIVERSE.index("k1"))
+_KAPPA = (1 << SHIFT["k0"], 1 << SHIFT["k1"])
+
+
+def _plan(var: str, w: GroupElem) -> Tuple[Exponent, QI,
+                                            Tuple[Exponent, ...]]:
+    """What the var step does to a term of the w-copy: the packed unit of
+    its dual factor and the factor's half phase, and for each mirror line
+    j the offset of the reflected copy s_j w, its element field plus the
+    exponent of its coupling kappa_j."""
+    slot, half = _half_dual(var, w)
+    return (1 << SHIFT[UNIVERSE[slot]], half,
+            tuple((_index(mul(reflection(j), w)) << _ELEM) + _KAPPA[j & 1]
+                  for j in range(4)))
+
+
+# the plans of each direction, indexed by element
+_PLANS = {var: tuple(_plan(var, w) for w in ALL_ELEMENTS)
+          for var in ("z", "zb")}
 
 
 def _first_order(var: str, state: KernelState,
                  params: Params) -> KernelState:
-    d = 0 if var == "z" else 1
-    out: Dict[GroupElem, Dict[Exponent, QI]] = {}
-    for w, p in state.parts.items():
-        here = out.setdefault(w, {})
-        moved = [out.setdefault(g, {}) for g in _reflected(w)]
-        slot, half = _half_dual(var, w)
-        for exp, c in p.terms.items():
-            e = exp[d]
-            if e:
-                key = exp[:d] + (e - 1,) + exp[d + 1:]
-                term = c * e
-                prev = here.get(key)
-                here[key] = term + prev if prev is not None else term
-            key = exp[:slot] + (exp[slot] + 1,) + exp[slot + 1:]
-            term = half * c
-            prev = here.get(key)
-            here[key] = term + prev if prev is not None else term
-            lines = monomial_quotients(var, exp[0], exp[1])
-            if not lines:
-                continue
-            # the spectators of each coupling class j mod 2: kappa_j
-            # raises the k0 or k1 exponent
-            phases = c.phases()
-            rests = [exp[2:s] + (exp[s] + 1,) + exp[s + 1:]
-                     for s in _KAPPA_SLOTS]
-            for j, terms in enumerate(lines):
-                rest = rests[j & 1]
-                acc = moved[j]
-                for x, y, r in terms:
-                    key = (x, y) + rest
-                    term = phases[r]
-                    prev = acc.get(key)
-                    acc[key] = term + prev if prev is not None else term
-    return KernelState({g: from_terms(acc) for g, acc in out.items()})
+    plans = _PLANS[var]
+    unit = 1 << SHIFT[var]
+    out: Dict[Exponent, QI] = {}
+    get = out.get
+    for exp, c in state.terms.items():
+        dual, half, bases = plans[exp >> _ELEM]
+        a, b = (exp >> _Z) & MASK, (exp >> _ZB) & MASK
+        e = a if var == "z" else b
+        if e:
+            key = exp - unit
+            term = c * e
+            prev = get(key)
+            out[key] = term + prev if prev is not None else term
+        key = exp + dual
+        term = half * c
+        prev = get(key)
+        out[key] = term + prev if prev is not None else term
+        lines = monomial_quotients(var, a, b)
+        if not lines:
+            continue
+        phases = c.phases()
+        rest = exp & _SPECTATORS
+        for base, terms in zip(bases, lines):
+            base += rest
+            for offset, r in terms:
+                key = base + offset
+                term = phases[r]
+                prev = get(key)
+                out[key] = term + prev if prev is not None else term
+    # a step raises a field by at most one, so an exponent that reached
+    # LIMIT shows as a guard bit and none carried
+    if reduce(or_, out, 0) & GUARD:
+        raise ValueError("exponent too large")
+    return KernelState._nonzero(out)
+
+
+# the element field moves of relabelling by g: _MOVES[index(g)][index(w)]
+# is (index(g w) - index(w)) << _ELEM
+_MOVES = tuple(tuple((_index(mul(g, w)) - _index(w)) << _ELEM
+                     for w in ALL_ELEMENTS) for g in ALL_ELEMENTS)
 
 
 def _relabel(g: GroupElem, state: KernelState) -> KernelState:
-    return KernelState({mul(g, w): act(g, p) for w, p in state.parts.items()})
+    """The w-copy of state, moved by g, as the copy g w: the z/zb part of
+    each term is turned (and, for a reflection, swapped), and the element
+    field is moved.  The map is one-to-one, so no terms merge."""
+    moves = _MOVES[_index(g)]
+    swap = SWAP if g.refl else 0
+    out = {}
+    for exp, c in state.terms.items():
+        d = ((exp >> _Z) & MASK) - ((exp >> _ZB) & MASK)    # z minus zb
+        out[exp + moves[exp >> _ELEM] - d * swap] = \
+            c.phases()[g.k * d % 4]
+    return KernelState._of(out)
 
 
 _SYMBOLIC = Params.symbolic()

@@ -48,12 +48,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from operator import add
 from typing import Collection, Dict, Tuple
 
 from .group import act, central_element_terms, ell, parse_elem
 from .params import Params
-from .poly import UNIVERSE, Exponent, MPoly, from_terms
+from .poly import MASK, SHIFT, Exponent, MPoly, add_scaled, from_terms
 from .record import Keyed, Record
 from .scalars import QI
 
@@ -101,9 +100,11 @@ class Commutator(Expr):
 
 Terms = Tuple[Tuple[Exponent, QI], ...]
 
-_NO_SPECTATORS = (0,) * (len(UNIVERSE) - 2)     # exponents after z, zb
-# the same exponents of the symbolic couplings kappa_0 = k0, kappa_1 = k1
-_KAPPA_SPECTATORS = tuple(next(iter(Params.symbolic().kappa(j).terms))[2:]
+_Z_AT, _ZB_AT = SHIFT["z"], SHIFT["zb"]
+# the fields below z, zb: the spectator cofactor of a term is exp & _SPECTATORS
+_SPECTATORS = (1 << _ZB_AT) - 1
+# the packed exponents of the symbolic couplings kappa_0 = k0, kappa_1 = k1
+_KAPPA_SPECTATORS = tuple(next(iter(Params.symbolic().kappa(j).terms))
                           for j in (0, 1))
 
 
@@ -120,13 +121,15 @@ def _quotient_shape(var: str, a: int, b: int):
 
 @lru_cache(maxsize=None)
 def monomial_quotients(var: str, a: int,
-                       b: int) -> Tuple[Tuple[Tuple[int, int, int], ...], ...]:
+                       b: int) -> Tuple[Tuple[Tuple[Exponent, int], ...], ...]:
     """The reflection quotients of m = z^a zb^b without their couplings, in
     closed form, for the prover, which moves each to its own reflected copy
     and scales it by kappa_j there.
 
     Entry j lists the quotient (m - s_j m) / ell_j, times -i^j in the zb
-    direction, as terms (x, y, r), each i^r z^x zb^y; the tuple is empty
+    direction, as terms (e, r), each i^r z^x zb^y with e the packed
+    exponent of z^x zb^y, which a spectator cofactor offsets; the tuple is
+    empty
     when a = b, where every quotient is zero.  With t = i^j and
     n = |a - b|, s_j m = t^(a-b) z^b zb^a, and the quotient is a finite
     geometric sum: sum_{k<n} t^k z^(a-1-k) zb^(b+k) when a > b and
@@ -138,7 +141,8 @@ def monomial_quotients(var: str, a: int,
     n, hi, lo, sign, shift = _quotient_shape(var, a, b)
     turn = 0 if sign > 0 else 2
     # the k-th term carries sign t^(k + shift) = i^(j (k + shift) + turn)
-    return tuple(tuple((hi - 1 - k, lo + k, (j * (k + shift) + turn) % 4)
+    return tuple(tuple((((hi - 1 - k) << _Z_AT) + ((lo + k) << _ZB_AT),
+                        (j * (k + shift) + turn) % 4)
                        for k in range(n)) for j in range(4))
 
 
@@ -155,8 +159,7 @@ def _monomial_image(var: str, a: int, b: int, params: Params) -> Terms:
     out: Dict[Exponent, QI] = {}
     e = a if var == "z" else b
     if e:
-        exp = (a - 1, b) if var == "z" else (a, b - 1)
-        out[exp + _NO_SPECTATORS] = QI(e)
+        out[(a << _Z_AT) + (b << _ZB_AT) - (1 << SHIFT[var])] = QI(e)
     if a == b:
         return tuple(out.items())
     n, hi, lo, sign, shift = _quotient_shape(var, a, b)
@@ -167,26 +170,14 @@ def _monomial_image(var: str, a: int, b: int, params: Params) -> Terms:
                  (_KAPPA_SPECTATORS[1], two, -two))
     else:
         k0, k1 = QI.of(params.kappa(0)), QI.of(params.kappa(1))
-        parts = ((_NO_SPECTATORS, two * (k0 + k1), two * (k0 - k1)),)
+        parts = ((0, two * (k0 + k1), two * (k0 - k1)),)
     for rest, plus, minus in parts:
         for k in range(shift % 2, n, 2):
             c = plus if (k + shift) % 4 == 0 else minus
-            exp = (hi - 1 - k, lo + k) + rest
+            exp = ((hi - 1 - k) << _Z_AT) + ((lo + k) << _ZB_AT) + rest
             prev = out.get(exp)
             out[exp] = c + prev if prev is not None else c
     return tuple((exp, c) for exp, c in out.items() if c)
-
-
-def add_scaled(out: Dict[Exponent, QI], c: QI, rest: Exponent,
-               terms: Terms) -> None:
-    """out += c s terms, where s is the spectator monomial with exponents
-    `rest` over the variables after z, zb."""
-    spectators = any(rest)
-    for exp, tc in terms:
-        key = exp[:2] + tuple(map(add, exp[2:], rest)) if spectators else exp
-        term = c * tc
-        prev = out.get(key)
-        out[key] = term + prev if prev is not None else term
 
 
 def apply_dunkl(var: str, p: MPoly, params: Params) -> MPoly:
@@ -198,8 +189,9 @@ def apply_dunkl(var: str, p: MPoly, params: Params) -> MPoly:
     """
     out: Dict[Exponent, QI] = {}
     for exp, c in p.terms.items():
-        add_scaled(out, c, exp[2:],
-                   _monomial_image(var, exp[0], exp[1], params))
+        add_scaled(out, c, exp & _SPECTATORS,
+                   _monomial_image(var, exp >> _Z_AT, (exp >> _ZB_AT) & MASK,
+                                   params))
     return from_terms(out)
 
 
@@ -266,23 +258,23 @@ def visit(expr: Expr, x, params: Params, recurse, memo: dict):
 
 
 @lru_cache(maxsize=None)
-def _image_table(tree: int, params: Params) -> Dict[Tuple[int, int], Terms]:
-    """Images of the monomials z^a zb^b, keyed by (a, b), under the
-    tabulated tree with id `tree` at numeric params; filled by
+def _image_table(tree: int, params: Params) -> Dict[int, Terms]:
+    """Images of the monomials z^a zb^b, keyed by their z/zb part
+    exp >> SHIFT["zb"], under the tabulated tree with id `tree` at numeric params; filled by
     `_fill_images` and read by every `apply` of the tree.  Tabulated trees
     live as long as the module, so their ids stay valid."""
     return {}
 
 
-# the tag u^a ub^b of z^a zb^b in `_fill_images` sits at these exponents
-_TAG = slice(2, 4)
-assert UNIVERSE[_TAG] == ("u", "ub")
+# the tag u^a ub^b of z^a zb^b in `_fill_images` is its z/zb part shifted
+# down two fields, to the u and ub fields
+_TAG = SHIFT["ub"]
 
 
-def _fill_images(expr: Expr, missing: Collection[Tuple[int, int]],
-                 params: Params, table: Dict[Tuple[int, int], Terms]) -> None:
-    """Add the images of the monomials (a, b) in `missing` to `table`
-    with one walk.
+def _fill_images(expr: Expr, missing: Collection[int], params: Params,
+                 table: Dict[int, Terms]) -> None:
+    """Add the images of the monomials z^a zb^b in `missing`, given by
+    their z/zb parts, to `table` with one walk.
 
     Each z^a zb^b is tagged u^a ub^b, and the image of the tagged sum is
     split by its (u, ub) exponents.  That is sound because the
@@ -293,15 +285,15 @@ def _fill_images(expr: Expr, missing: Collection[Tuple[int, int]],
     number of walks what it was without the table; the basis functions of
     one level share no monomial, so a walk per monomial would multiply it.
     """
-    tagged = from_terms({(a, b, a, b) + _NO_SPECTATORS[2:]: QI(1)
-                         for a, b in missing})
-    parts: Dict[Tuple[int, int], Dict[Exponent, QI]] = {
-        ab: {} for ab in missing}
+    tagged = from_terms({(zz << _ZB_AT) + (zz << _TAG): QI(1)
+                         for zz in missing})
+    parts: Dict[int, Dict[Exponent, QI]] = {zz: {} for zz in missing}
     image = evaluate(expr, tagged, params, apply, apply_dunkl, act, {})
     for exp, c in image.terms.items():
-        parts[exp[_TAG]][exp[:2] + _NO_SPECTATORS] = c
-    for ab, terms in parts.items():
-        table[ab] = tuple(terms.items())
+        tag = (exp & _SPECTATORS) >> _TAG
+        parts[tag][exp - (tag << _TAG)] = c
+    for zz, terms in parts.items():
+        table[zz] = tuple(terms.items())
 
 
 def apply(expr: Expr, p: MPoly, params: Params, memo=None) -> MPoly:
@@ -319,12 +311,12 @@ def apply(expr: Expr, p: MPoly, params: Params, memo=None) -> MPoly:
     """
     if id(expr) in _TABULATED and not params.is_symbolic:
         table = _image_table(id(expr), params)
-        missing = [exp[:2] for exp in p.terms if exp[:2] not in table]
+        missing = [exp >> _ZB_AT for exp in p.terms if exp >> _ZB_AT not in table]
         if missing:
             _fill_images(expr, dict.fromkeys(missing), params, table)
         out: Dict[Exponent, QI] = {}
         for exp, c in p.terms.items():
-            add_scaled(out, c, exp[2:], table[exp[:2]])
+            add_scaled(out, c, exp & _SPECTATORS, table[exp >> _ZB_AT])
         return from_terms(out)
     return evaluate(expr, p, params, apply, apply_dunkl, act,
                     {} if memo is None else memo)

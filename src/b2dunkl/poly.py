@@ -2,12 +2,25 @@
 
 Variables come from a fixed universe: the point coordinates ``z``/``zb``, a
 second point ``u``/``ub`` used by reproducing-kernel states, the two coupling
-parameters ``k0``/``k1`` and the frequency ``w``.  Every exponent is a tuple
-over the whole universe, in the order of ``UNIVERSE``, so polynomials share
-one layout and no operation aligns variables; equal polynomials compare
-equal regardless of how they were built.  ``vars`` lists the variables some
-term uses, and the public constructor, serialization and display speak in
-those variables only.
+parameters ``k0``/``k1`` and the frequency ``w``.  Every exponent vector over
+the whole universe is packed into one int (Monagan and Pearce, "Polynomial
+division using dynamic arrays, heaps, and packed exponent vectors", CASC
+2007), so polynomials share one layout and no operation aligns variables;
+equal polynomials compare equal regardless of how they were built.
+
+The packed exponent has one ``WIDTH``-bit field per variable: field i holds
+the exponent of ``UNIVERSE[i]`` at bit ``SHIFT[UNIVERSE[i]]``, z in the
+highest field and w in the lowest, so int order is the lexicographic order
+of the exponent tuples.  A product's exponent is one int add, a derivative
+subtracts a unit, and the z/zb part of an exponent is ``exp >> SHIFT["zb"]``.
+The top bit of each field is a guard: an exponent must stay below
+``LIMIT`` = 2^31.  The public constructor refuses a larger one, and a
+product or a spectator shift whose sum sets a guard bit raises, so no sum
+ever carries into the next field; both raise ValueError("exponent too
+large").  `pack` and `unpack` convert to and from tuples over
+``UNIVERSE``.  ``vars`` lists the variables some term uses, and the public
+constructor, serialization and display unpack and speak in those variables
+only, so their output is what it was with tuple exponents.
 
 Coefficients are :class:`~b2dunkl.scalars.QI`.  All operations are exact.
 ``divide_linear`` performs the exact division by a two-term homogeneous
@@ -21,23 +34,45 @@ and the benchmark times it.
 
 from __future__ import annotations
 
-from operator import add
-from typing import Dict, Iterable, Mapping, Tuple, Union
+from functools import reduce
+from operator import or_
+from typing import Dict, Iterable, Mapping, Sequence, Tuple, Union
 
 from .scalars import ONE, QI, ScalarLike, format_rat, parse_rat
 
 UNIVERSE = ("z", "zb", "u", "ub", "k0", "k1", "w")
-_UNIVERSE_INDEX = {name: i for i, name in enumerate(UNIVERSE)}
-_CONST = (0,) * len(UNIVERSE)
 
-Exponent = Tuple[int, ...]
+WIDTH = 32
+MASK = (1 << WIDTH) - 1             # one field, shifted down
+LIMIT = 1 << (WIDTH - 1)            # the first exponent a field refuses
+_SHIFTS = tuple(WIDTH * (len(UNIVERSE) - 1 - i) for i in range(len(UNIVERSE)))
+SHIFT = dict(zip(UNIVERSE, _SHIFTS))
+GUARD = sum(LIMIT << s for s in _SHIFTS)     # the top bit of every field
+_CONST = 0
+
+# a packed exponent vector; see the module docstring
+Exponent = int
+
+
+def pack(exps: Sequence[int]) -> Exponent:
+    """The packed exponent of a tuple over ``UNIVERSE``; no check."""
+    return sum(e << s for e, s in zip(exps, _SHIFTS))
+
+
+def unpack(exp: Exponent) -> Tuple[int, ...]:
+    """The exponent tuple over ``UNIVERSE`` of a packed exponent."""
+    return tuple((exp >> s) & MASK for s in _SHIFTS)
+
+
+def _too_large():
+    raise ValueError("exponent too large")
 
 
 class ExactDivisionError(ArithmeticError):
     """Polynomial division that was required to be exact left a remainder."""
 
 
-def _term_sort_key(exp: Exponent):
+def _term_sort_key(exp: Tuple[int, ...]):
     # graded ordering: total degree first, then lexicographic in universe order
     return (-sum(exp), tuple(-e for e in exp))
 
@@ -45,23 +80,24 @@ def _term_sort_key(exp: Exponent):
 class MPoly:
     """Immutable sparse polynomial. Do not mutate ``terms`` from outside.
 
-    ``terms`` maps exponent tuples over ``UNIVERSE`` to nonzero coefficients.
+    ``terms`` maps packed exponents to nonzero coefficients.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, vars: Iterable[str] = (),
-                 terms: Union[Mapping[Exponent, ScalarLike], Iterable] = None):
+                 terms: Union[Mapping[Sequence[int], ScalarLike],
+                              Iterable] = None):
         """Polynomial from exponents listed over ``vars``, in any order.
         ``terms`` is a mapping or (exponent, coefficient) pairs; the
         coefficients of a repeated exponent add up."""
         names = tuple(vars)
         for name in names:
-            if name not in _UNIVERSE_INDEX:
+            if name not in SHIFT:
                 raise ValueError(f"unknown variable {name!r}")
         if len(set(names)) != len(names):
             raise ValueError("repeated variable")
-        pos = [_UNIVERSE_INDEX[name] for name in names]
+        shifts = [SHIFT[name] for name in names]
 
         merged: Dict[Exponent, QI] = {}
         if isinstance(terms, Mapping):
@@ -72,13 +108,12 @@ class MPoly:
             if not all(type(e) is int and e >= 0 for e in exp):
                 raise ValueError(f"exponents must be nonnegative integers, "
                                  f"not {list(exp)}")
+            if any(e >= LIMIT for e in exp):
+                _too_large()
             c = QI.of(c)
             if not c:
                 continue
-            key = list(_CONST)
-            for i, e in zip(pos, exp):
-                key[i] = e
-            key = tuple(key)
+            key = sum(e << s for e, s in zip(exp, shifts))
             prev = merged.get(key)
             merged[key] = c + prev if prev is not None else c
         object.__setattr__(self, "terms",
@@ -93,12 +128,13 @@ class MPoly:
         return tuple(UNIVERSE[i] for i in self._used())
 
     def _used(self):
-        return [i for i, col in enumerate(zip(*self.terms)) if any(col)]
+        seen = reduce(or_, self.terms, 0)
+        return [i for i, s in enumerate(_SHIFTS) if (seen >> s) & MASK]
 
-    def _projected(self) -> Dict[Exponent, QI]:
-        """``terms`` with each exponent listed over ``vars``."""
-        used = self._used()
-        return {tuple(exp[i] for i in used): c
+    def _projected(self) -> Dict[Tuple[int, ...], QI]:
+        """``terms`` with each exponent unpacked and listed over ``vars``."""
+        shifts = [_SHIFTS[i] for i in self._used()]
+        return {tuple([(exp >> s) & MASK for s in shifts]): c
                 for exp, c in self.terms.items()}
 
     # ---- constructors -------------------------------------------------
@@ -113,11 +149,9 @@ class MPoly:
 
     @classmethod
     def var(cls, name: str) -> "MPoly":
-        if name not in _UNIVERSE_INDEX:
+        if name not in SHIFT:
             raise ValueError(f"unknown variable {name!r}")
-        exp = list(_CONST)
-        exp[_UNIVERSE_INDEX[name]] = 1
-        return from_terms({tuple(exp): ONE})
+        return from_terms({1 << SHIFT[name]: ONE})
 
     # ---- predicates and views -----------------------------------------
 
@@ -128,16 +162,18 @@ class MPoly:
         """Largest total degree among terms; -1 for the zero polynomial."""
         if not self.terms:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(sum(unpack(e)) for e in self.terms)
 
     def coefficient(self, mono: Mapping[str, int]) -> QI:
         """Coefficient of the monomial given as {var: exponent}."""
-        exp = list(_CONST)
+        exp = 0
         for name, e in mono.items():
-            if name not in _UNIVERSE_INDEX:
+            if name not in SHIFT:
                 raise ValueError(f"unknown variable {name!r}")
-            exp[_UNIVERSE_INDEX[name]] = e
-        return self.terms.get(tuple(exp), QI(0))
+            if not 0 <= e < LIMIT:
+                return QI(0)        # no term has that exponent
+            exp += e << SHIFT[name]
+        return self.terms.get(exp, QI(0))
 
     def sorted_terms(self):
         """Terms in the canonical graded order used for serialization, each
@@ -191,7 +227,7 @@ class MPoly:
             k = self.terms[_CONST]
             return from_terms({e: k * c for e, c in other.terms.items()})
         out: Dict[Exponent, QI] = {}
-        add_product(out, self, other)
+        add_product(out, self.terms, other.terms)
         return from_terms(out)
 
     __rmul__ = __mul__
@@ -211,15 +247,16 @@ class MPoly:
     # ---- calculus and substitution ------------------------------------
 
     def diff(self, name: str) -> "MPoly":
-        i = _UNIVERSE_INDEX.get(name)
-        if i is None:
+        s = SHIFT.get(name)
+        if s is None:
             return _ZERO
+        unit = 1 << s
         out: Dict[Exponent, QI] = {}
         for exp, c in self.terms.items():
-            e = exp[i]
+            e = (exp >> s) & MASK
             if e == 0:
                 continue
-            nexp = exp[:i] + (e - 1,) + exp[i + 1:]
+            nexp = exp - unit
             nc = c * e
             prev = out.get(nexp)
             out[nexp] = nc + prev if prev is not None else nc
@@ -228,16 +265,17 @@ class MPoly:
     def subst(self, mapping: Mapping[str, ScalarLike]) -> "MPoly":
         """Simultaneous substitution of exact scalars; unmapped variables
         stay themselves.  A non-scalar value raises TypeError."""
-        idx = {_UNIVERSE_INDEX[k]: QI.of(v) for k, v in mapping.items()
-               if k in _UNIVERSE_INDEX}
-        if not any(exp[i] for exp in self.terms for i in idx):
+        vals = {SHIFT[k]: QI.of(v) for k, v in mapping.items() if k in SHIFT}
+        seen = reduce(or_, self.terms, 0)
+        if not any((seen >> s) & MASK for s in vals):
             return self
         out: Dict[Exponent, QI] = {}
         for exp, c in self.terms.items():
-            for i, val in idx.items():
-                if exp[i]:
-                    c = c * val ** exp[i]
-            exp = tuple(0 if i in idx else e for i, e in enumerate(exp))
+            for s, val in vals.items():
+                e = (exp >> s) & MASK
+                if e:
+                    c = c * val ** e
+                    exp -= e << s
             prev = out.get(exp)
             out[exp] = c + prev if prev is not None else c
         return from_terms(out)
@@ -248,18 +286,20 @@ class MPoly:
         """Exact quotient self / divisor for a two-term homogeneous linear
         form a X + b Y, such as a mirror line z - i^j zb.
 
-        Raises ExactDivisionError when the division is not exact.
+        Raises ExactDivisionError when the division is not exact.  It works
+        on unpacked exponent tuples.
         """
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
-        dterms = sorted(divisor.terms.items())  # by exponent; deterministic
+        # by exponent, deterministic
+        dterms = sorted((unpack(e), c) for e, c in divisor.terms.items())
         if len(dterms) != 2 or any(sum(e) != 1 for e, _ in dterms):
             raise ValueError("divisor must be a homogeneous linear form "
                              "with two terms")
         if self.is_zero():
             return _ZERO
 
-        p = self.terms
+        p = {unpack(e): c for e, c in self.terms.items()}
         # pivot variable X: the divisor term whose variable comes first
         (xexp, a) = min(dterms, key=lambda kv: kv[0].index(1))
         xi = xexp.index(1)
@@ -268,7 +308,8 @@ class MPoly:
         tc = -b / a                  # divisor = a*(X - tc*Y)
         yi_red = yi - 1 if yi > xi else yi
 
-        buckets: Dict[int, Dict[Exponent, QI]] = {}
+        Tup = Tuple[int, ...]
+        buckets: Dict[int, Dict[Tup, QI]] = {}
         for exp, c in p.items():
             k = exp[xi]
             red = exp[:xi] + exp[xi + 1:]
@@ -278,7 +319,7 @@ class MPoly:
             # no pivot variable at all, so no multiple of the divisor
             raise ExactDivisionError("nonzero remainder")
 
-        def add_t_times(dst: Dict[Exponent, QI], src: Dict[Exponent, QI]):
+        def add_t_times(dst: Dict[Tup, QI], src: Dict[Tup, QI]):
             for exp, c in src.items():
                 nexp = exp[:yi_red] + (exp[yi_red] + 1,) + exp[yi_red + 1:]
                 nc = c * tc
@@ -289,7 +330,8 @@ class MPoly:
                 elif prev is not None:
                     del dst[nexp]
 
-        quot: Dict[int, Dict[Exponent, QI]] = {dmax - 1: dict(buckets.get(dmax, {}))}
+        quot: Dict[int, Dict[Tup, QI]] = {dmax - 1:
+                                          dict(buckets.get(dmax, {}))}
         for k in range(dmax - 1, 0, -1):
             acc = dict(buckets.get(k, {}))
             add_t_times(acc, quot[k])
@@ -303,7 +345,7 @@ class MPoly:
         for k, bucket in quot.items():
             for red, c in bucket.items():
                 if c:
-                    out[red[:xi] + (k,) + red[xi:]] = c / a
+                    out[pack(red[:xi] + (k,) + red[xi:])] = c / a
         return from_terms(out)
 
     # ---- serialization -------------------------------------------------
@@ -367,20 +409,40 @@ class MPoly:
         return " + ".join(parts)
 
 
-def add_product(out: Dict[Exponent, QI], p: MPoly, q: MPoly) -> None:
-    """out += p q, term by term, into a term dict that ``from_terms`` reads;
-    a sum of products built this way forms no intermediate polynomial."""
-    for ea, ca in p.terms.items():
-        for eb, cb in q.terms.items():
-            exp = tuple(map(add, ea, eb))
+def add_product(out: Dict[Exponent, QI], p: Mapping[Exponent, QI],
+                q: Mapping[Exponent, QI]) -> None:
+    """out += p q for term dicts p and q, term by term, into a term dict
+    that ``from_terms`` reads; a sum of products built this way forms no
+    intermediate polynomial.  A product exponent that sets a guard bit
+    raises ValueError("exponent too large")."""
+    qt = q.items()
+    for ea, ca in p.items():
+        for eb, cb in qt:
+            exp = ea + eb
+            if exp & GUARD:
+                _too_large()
             c = ca * cb
             prev = out.get(exp)
             out[exp] = c + prev if prev is not None else c
 
 
+def add_scaled(out: Dict[Exponent, QI], c: QI, rest: Exponent,
+               terms: Iterable[Tuple[Exponent, QI]]) -> None:
+    """out += c s terms, where s is the monomial with packed exponent
+    `rest`.  A shifted exponent that sets a guard bit raises
+    ValueError("exponent too large")."""
+    for exp, tc in terms:
+        key = exp + rest
+        if key & GUARD:
+            _too_large()
+        term = c * tc
+        prev = out.get(key)
+        out[key] = term + prev if prev is not None else term
+
+
 def from_terms(terms: Dict[Exponent, QI]) -> MPoly:
-    """Polynomial from terms as ring operations produce them: exponent
-    tuples over ``UNIVERSE``, every key once and every coefficient a QI.
+    """Polynomial from terms as ring operations produce them: packed
+    exponents, every key once and every coefficient a QI.
     Only zero coefficients are dropped; nothing is validated, unlike
     ``MPoly(vars, terms)``."""
     out = MPoly.__new__(MPoly)

@@ -43,7 +43,7 @@ from .basis import (BasisLabel, energy, enumerate_basis, harmonic_seed, norm,
 from .linsolve import LinearSolver, NotInSpanError
 from .operators import DEGREE_PRESERVING, apply, apply_named
 from .params import Params
-from .poly import UNIVERSE, Exponent, MPoly, from_terms
+from .poly import SHIFT, Exponent, MPoly, from_terms
 from .record import Record
 from .scalars import QI, ZERO, format_rat
 
@@ -63,14 +63,13 @@ def parse_label(text: str) -> BasisLabel:
 
 # ---- expansion in one energy level ---------------------------------------
 
-# the exponent of z^a zb^b is (a, b) followed by zeros for the other variables
-_SPECTATORS = (0,) * (len(UNIVERSE) - 2)
+_Z, _ZB = SHIFT["z"], SHIFT["zb"]
 
 
 def _top_block(p: MPoly, degree: int) -> List[QI]:
     """p's coefficients of z^a zb^(degree - a), for a = degree down to 0."""
     terms = p.terms
-    return [terms.get((a, degree - a) + _SPECTATORS, ZERO)
+    return [terms.get((a << _Z) + ((degree - a) << _ZB), ZERO)
             for a in range(degree, -1, -1)]
 
 

@@ -12,7 +12,7 @@ from typing import Dict, List, Tuple
 from b2dunkl.basis import BasisLabel, enumerate_basis, psi
 from b2dunkl.linsolve import LinearSolver, NotInSpanError
 from b2dunkl.params import Params
-from b2dunkl.poly import MPoly
+from b2dunkl.poly import MPoly, unpack
 from b2dunkl.scalars import QI
 
 
@@ -48,7 +48,7 @@ def expand(p: MPoly, degree: int, params: Params) -> Dict[BasisLabel, QI]:
     index, solver = _level_solver(degree, params)
     rhs = [QI(0)] * len(index)
     for exp, c in p.terms.items():
-        key = exp[:2]
+        key = unpack(exp)[:2]
         if key not in index:
             raise NotInSpanError(
                 f"monomial z^{key[0]} zb^{key[1]} is outside the "

@@ -15,7 +15,7 @@ from b2dunkl.group import ALL_ELEMENTS, act, reflection, rotation
 from b2dunkl.operators import apply_named
 from b2dunkl.params import DEFAULT_PARAMS as P
 from b2dunkl.params import EXTRA_PARAM_SETS, Params
-from b2dunkl.poly import MPoly
+from b2dunkl.poly import MPoly, unpack
 from b2dunkl.scalars import QI
 import label_oracle
 import norm_oracle
@@ -301,7 +301,8 @@ def _circle_norm_oracle(p, params):
     """Squared circle norm of p relative to 1, by exact Fourier moments."""
     freq = {}
     for exp, c in p.terms.items():
-        f = exp[0] - exp[1]     # powers of z and zb
+        a, b = unpack(exp)[:2]
+        f = a - b               # powers of z and zb
         freq[f] = freq.get(f, QI(0)) + c
     total = QI(0)
     for f1, c1 in freq.items():

@@ -21,9 +21,10 @@ from b2dunkl.kernel import (
 from b2dunkl.operators import (Commutator, Compose, Dunkl, GroupOp, Mul,
                                 apply, named)
 from b2dunkl.params import Params
-from b2dunkl.poly import UNIVERSE, MPoly
+from b2dunkl.poly import LIMIT, UNIVERSE, MPoly, unpack
 from b2dunkl.scalars import QI
 from division_oracle import reflection_quotients
+import first_order_oracle
 
 Z = MPoly.var("z")
 ZB = MPoly.var("zb")
@@ -166,7 +167,7 @@ def test_direct_application_agrees_with_catalogue_verdicts(p, pr):
 def moved_dual(w):
     """The dual point (u, ub) moved by the inverse of w, from the action
     on the coordinates z, zb renamed to u, ub."""
-    return tuple(MPoly(("u", "ub"), {exp[:2]: c for exp, c in
+    return tuple(MPoly(("u", "ub"), {unpack(exp)[:2]: c for exp, c in
                                      act(inv(w), coord).terms.items()})
                  for coord in (Z, ZB))
 
@@ -220,6 +221,28 @@ def test_memoised_first_order_matches_whole_amplitude_quotients(parts):
     for var in ("z", "zb"):
         assert k_apply(Dunkl(var), state) == \
             direct_first_order(var, state, SYMBOLIC)
+
+
+@given(states)
+@settings(max_examples=40, deadline=None)
+def test_flat_first_order_equals_the_per_copy_step(parts):
+    # one pass over the state's term dict against one term dict per copy;
+    # the parts view gives back the copies the state was built from
+    state = KernelState(parts)
+    assert state.parts == {g: p for g, p in parts.items() if not p.is_zero()}
+    assert KernelState(state.parts) == state
+    for var in ("z", "zb"):
+        assert kernel._first_order(var, state, SYMBOLIC) == \
+            first_order_oracle.first_order(var, state)
+
+
+def test_first_order_past_the_limit_raises():
+    # the z step of a reflected copy raises u, the zb step raises ub
+    state = KernelState({reflection(1): Z * MPoly(("u",), {(LIMIT - 1,): 1})})
+    with pytest.raises(ValueError, match="exponent too large"):
+        k_apply(Dunkl("z"), state)
+    assert k_apply(Dunkl("zb"), state) == \
+        first_order_oracle.first_order("zb", state)
 
 
 @given(states)

@@ -15,7 +15,7 @@ from b2dunkl.operators import (
     apply_named, expr_from_json, named,
 )
 from b2dunkl.params import DEFAULT_PARAMS, Params
-from b2dunkl.poly import MPoly
+from b2dunkl.poly import LIMIT, UNIVERSE, MPoly, unpack
 from b2dunkl.scalars import QI
 from division_oracle import direct_dunkl, reflection_quotients
 
@@ -147,8 +147,9 @@ def test_zero_couplings_give_ordinary_derivatives(p, w):
 def test_closed_form_quotients_equal_division_oracle(params):
     # both memos, filled cold from the geometric sums, against reflecting,
     # subtracting and dividing; the prover's parameter-free quotients are
-    # expanded as kappa_j times the sum of i^r z^x zb^y over their (x, y, r)
-    # terms, and zero quotients carry no terms on either side
+    # expanded as kappa_j times the sum of i^r z^x zb^y over their (e, r)
+    # terms, e the packed exponent of z^x zb^y, and zero quotients carry no
+    # terms on either side
     for memo in (operators._monomial_image, operators.monomial_quotients):
         memo.cache_clear()
     for var in ("z", "zb"):
@@ -161,13 +162,23 @@ def test_closed_form_quotients_equal_division_oracle(params):
                 for j, terms in enumerate(
                         operators.monomial_quotients(var, a, b)):
                     quot = params.kappa(j) * MPoly(
-                        ("z", "zb"),
-                        [((x, y), QI.i_power(r)) for x, y, r in terms])
+                        UNIVERSE, [(unpack(e), QI.i_power(r))
+                                   for e, r in terms])
                     if quot.terms:
                         got[j] = quot.terms
                 assert got == want, (var, a, b)
                 image = operators._monomial_image(var, a, b, params)
                 assert dict(image) == direct_dunkl(var, mono, params).terms
+
+
+def test_spectator_shift_past_the_limit_raises():
+    # symbolic quotients raise the k0 or k1 exponent of their spectators
+    p = Z * Z * MPoly(("k0", "k1"), {(LIMIT - 1, 3): 1})
+    with pytest.raises(ValueError, match="exponent too large"):
+        apply_dunkl("z", p, SYM)
+    # a numeric image carries no spectator, so nothing grows
+    assert apply_dunkl("z", p, DEFAULT_PARAMS) == \
+        direct_dunkl("z", p, DEFAULT_PARAMS)
 
 
 def test_first_order_lowers_degree():

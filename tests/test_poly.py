@@ -7,7 +7,8 @@ from operator import add
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from b2dunkl.poly import UNIVERSE, MPoly, ExactDivisionError
+from b2dunkl.poly import (LIMIT, UNIVERSE, MPoly, ExactDivisionError, pack,
+                         unpack)
 from b2dunkl.scalars import QI
 
 Z = MPoly.var("z")
@@ -20,7 +21,8 @@ def test_constructor_canonicalizes():
     # exponents span the whole universe
     p = MPoly(("z", "zb"), {(2, 0): 1, (0, 1): 0})
     assert p.vars == ("z",)
-    assert p.terms == {(2, 0, 0, 0, 0, 0, 0): QI(1)}
+    assert {unpack(e): c for e, c in p.terms.items()} == \
+        {(2, 0, 0, 0, 0, 0, 0): QI(1)}
     assert MPoly(("z",), {}) == MPoly.zero()
     assert MPoly.const(0).is_zero()
 
@@ -239,6 +241,36 @@ def test_diff_is_a_derivation(p):
     assert lhs == rhs
 
 
+# --- packed exponents -----------------------------------------------------
+
+exponent_tuples = st.tuples(*[st.integers(0, LIMIT - 1) for _ in UNIVERSE])
+
+
+@given(exponent_tuples, exponent_tuples)
+def test_pack_round_trips_and_keeps_tuple_order(e, f):
+    assert unpack(pack(e)) == e
+    assert (pack(e) < pack(f)) == (e < f)
+    assert MPoly(UNIVERSE, {e: 1}).terms == {pack(e): QI(1)}
+
+
+def test_exponent_limit():
+    # the constructor takes 2^31 - 1 and refuses 2^31, also from JSON
+    big = MPoly(("zb",), {(LIMIT - 1,): 1})
+    assert big.coefficient({"zb": LIMIT - 1}) == 1
+    assert big.coefficient({"zb": LIMIT}) == 0
+    with pytest.raises(ValueError, match="exponent too large"):
+        MPoly(("z", "w"), {(1, LIMIT): 1})
+    with pytest.raises(ValueError, match="exponent too large"):
+        MPoly.from_json_dict({"vars": ["z"], "terms": [
+            {"exp": [LIMIT], "re": "1", "im": "0"}]})
+    # a product that would reach 2^31 raises instead of carrying into z
+    with pytest.raises(ValueError, match="exponent too large"):
+        big * ZB
+    with pytest.raises(ValueError, match="exponent too large"):
+        Z ** LIMIT
+    assert (big * Z).coefficient({"z": 1, "zb": LIMIT - 1}) == 1
+
+
 # --- ring-operation results against the validating constructor ----------
 
 U = MPoly.var("u")
@@ -261,8 +293,9 @@ def mixed_polys(draw):
 
 
 def assert_canonical(r):
-    assert all(len(exp) == len(UNIVERSE) for exp in r.terms)
-    rebuilt = MPoly(UNIVERSE, dict(r.terms))
+    # every key is a packed exponent over the whole universe
+    assert all(pack(unpack(exp)) == exp for exp in r.terms)
+    rebuilt = MPoly(UNIVERSE, {unpack(e): c for e, c in r.terms.items()})
     assert r.vars == rebuilt.vars and r.terms == rebuilt.terms
     assert all(type(c) is QI and c for c in r.terms.values())
 
@@ -308,7 +341,7 @@ def general_product(p, q):
     out = {}
     for ea, ca in p.terms.items():
         for eb, cb in q.terms.items():
-            exp = tuple(map(add, ea, eb))
+            exp = tuple(map(add, unpack(ea), unpack(eb)))
             out[exp] = out.get(exp, QI(0)) + ca * cb
     return MPoly(UNIVERSE, out)
 

@@ -31,10 +31,11 @@ def _holds_through_degree_three():
 def test_weight_potential_frozen_value():
     # D d log h = a, and D^2 (d_z d_zb h) / h = 4 z zb (k0 (1 - k0) O^2
     # - k1 (1 - k1) E^2) with E = z^2 - zb^2, O = z^2 + zb^2, by hand
-    assert weighted._A_Z == 2 * Z * (K0 * ODD + K1 * EVEN)
-    assert weighted._A_ZB == 2 * ZB * (K1 * EVEN - K0 * ODD)
-    assert weighted._V == 4 * Z * ZB * (K0 * (1 - K0) * ODD ** 2
-                                        - K1 * (1 - K1) * EVEN ** 2)
+    weight = weighted._weight()
+    assert weight.a_z == 2 * Z * (K0 * ODD + K1 * EVEN)
+    assert weight.a_zb == 2 * ZB * (K1 * EVEN - K0 * ODD)
+    assert weight.v == 4 * Z * ZB * (K0 * (1 - K0) * ODD ** 2
+                                     - K1 * (1 - K1) * EVEN ** 2)
 
 
 # faults injected into the module: the Hcal operator in place of the Dunkl
