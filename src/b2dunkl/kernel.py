@@ -12,18 +12,28 @@ the seed family {identity: 1} with the couplings and the frequency kept as
 variables.  The residual family of a failed identity is returned as a
 witness.
 
+A state is one term dict.  Its keys are the packed exponents of `poly`
+with one more field above z, the element field, which holds the index
+4 refl + k of the copy a term belongs to; `parts` splits the dict into
+one amplitude per copy for witnesses and display.  Sums, differences and
+multiplication by a polynomial are single passes over that dict, since a
+polynomial factor leaves the element field alone.
+
 A first-order step differentiates each amplitude, adds half the moved dual
 coordinate times it, and moves its reflection quotients to the reflected
-copies.  It is one pass over each amplitude's terms, accumulating into one
-term dict per target copy: the dual factor is one monomial, so it is an
-exponent shift times a phase cached per (direction, copy), and the
-quotients, which are linear and leave u, ub, k0, k1 and w alone, come term
-by term from `operators.monomial_quotients`, the parameter-free
-per-monomial memo of their closed forms, each quotient term a power i^r.
-So each amplitude term c is scaled once, not once per quotient term: the
-four phases of c are rotations of its integer triple, and the coupling
-kappa_j of a mirror line raises the k0 or k1 exponent by one.  No
-intermediate polynomial is built.
+copies.  It is one pass over the state's terms into one output dict, with
+a plan per (direction, element) computed at import: the dual factor is one
+monomial, so it is the packed unit of its variable times a half phase,
+and each reflected copy is a base offset, its element field plus the
+exponent of its coupling kappa_j.  The quotients, which are linear and
+leave u, ub, k0, k1 and w alone, come term by term from
+`operators.monomial_quotients`, the parameter-free per-monomial memo of
+their closed forms, each quotient term a packed z/zb offset and a power
+i^r.  So each amplitude term c is scaled once, not once per quotient term:
+the four phases of c are rotations of its integer triple, and a quotient
+term's key is one int add.  No intermediate polynomial is built.  A
+relabelling by a group element moves each term's element field and, for a
+reflection, swaps its z and zb fields, term by term.
 
 The couplings and the frequency are always symbolic here: an identity is
 decided once for all of them, and a numeric triple is what `operators.apply`
@@ -46,8 +56,8 @@ from functools import reduce
 from operator import or_
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
-# `_relabel` moves exponents itself and no longer calls `act`; the name
-# stays bound here because the benchmark's tracer wraps kernel.act
+# `_relabel` moves exponents itself and does not call `act`; the name stays
+# bound here because bench/tracing.py wraps kernel.act
 from .group import (ALL_ELEMENTS, SWAP, GroupElem, act,  # noqa: F401
                     elem_name, inv, mul, reflection, rotation, IDENTITY)
 from .operators import (Commutator, Compose, Expr, GroupOp, Mul, Sum,
@@ -244,6 +254,8 @@ def _relabel(g: GroupElem, state: KernelState) -> KernelState:
     """The w-copy of state, moved by g, as the copy g w: the z/zb part of
     each term is turned (and, for a reflection, swapped), and the element
     field is moved.  The map is one-to-one, so no terms merge."""
+    if g == IDENTITY:
+        return state
     moves = _MOVES[_index(g)]
     swap = SWAP if g.refl else 0
     out = {}

@@ -20,7 +20,7 @@ ever carries into the next field; both raise ValueError("exponent too
 large").  `pack` and `unpack` convert to and from tuples over
 ``UNIVERSE``.  ``vars`` lists the variables some term uses, and the public
 constructor, serialization and display unpack and speak in those variables
-only, so their output is what it was with tuple exponents.
+only, so no output shows the packing.
 
 Coefficients are :class:`~b2dunkl.scalars.QI`.  All operations are exact.
 ``divide_linear`` performs the exact division by a two-term homogeneous
