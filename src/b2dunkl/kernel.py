@@ -22,7 +22,7 @@ polynomial factor leaves the element field alone.
 A first-order step differentiates each amplitude, adds half the moved dual
 coordinate times it, and moves its reflection quotients to the reflected
 copies.  It is one pass over the state's terms into one output dict, with
-a plan per (direction, element) computed at import: the dual factor is one
+a plan per (direction, element), cached on first use: the dual factor is one
 monomial, so it is the packed unit of its variable times a half phase,
 and each reflected copy is a base offset, its element field plus the
 exponent of its coupling kappa_j.  The quotients, which are linear and
@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import or_
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
@@ -201,14 +201,15 @@ def _plan(var: str, w: GroupElem) -> Tuple[Exponent, QI,
                   for j in range(4)))
 
 
-# the plans of each direction, indexed by element
-_PLANS = {var: tuple(_plan(var, w) for w in ALL_ELEMENTS)
-          for var in ("z", "zb")}
+@lru_cache(maxsize=None)
+def _plans(var: str) -> Tuple[Tuple[Exponent, QI, Tuple[Exponent, ...]], ...]:
+    """The plans of the var direction, indexed by element."""
+    return tuple(_plan(var, w) for w in ALL_ELEMENTS)
 
 
 def _first_order(var: str, state: KernelState,
                  params: Params) -> KernelState:
-    plans = _PLANS[var]
+    plans = _plans(var)
     unit = 1 << SHIFT[var]
     out: Dict[Exponent, QI] = {}
     get = out.get
@@ -244,10 +245,12 @@ def _first_order(var: str, state: KernelState,
     return KernelState._nonzero(out)
 
 
-# the element field moves of relabelling by g: _MOVES[index(g)][index(w)]
-# is (index(g w) - index(w)) << _ELEM
-_MOVES = tuple(tuple((_index(mul(g, w)) - _index(w)) << _ELEM
-                     for w in ALL_ELEMENTS) for g in ALL_ELEMENTS)
+@lru_cache(maxsize=None)
+def _moves(g: GroupElem) -> Tuple[int, ...]:
+    """How relabelling by g moves the element field of the w-copy, indexed
+    by w: (index(g w) - index(w)) << _ELEM."""
+    return tuple((_index(mul(g, w)) - _index(w)) << _ELEM
+                 for w in ALL_ELEMENTS)
 
 
 def _relabel(g: GroupElem, state: KernelState) -> KernelState:
@@ -256,7 +259,7 @@ def _relabel(g: GroupElem, state: KernelState) -> KernelState:
     field is moved.  The map is one-to-one, so no terms merge."""
     if g == IDENTITY:
         return state
-    moves = _MOVES[_index(g)]
+    moves = _moves(g)
     swap = SWAP if g.refl else 0
     out = {}
     for exp, c in state.terms.items():

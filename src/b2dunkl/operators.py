@@ -129,8 +129,7 @@ def monomial_quotients(var: str, a: int,
     Entry j lists the quotient (m - s_j m) / ell_j, times -i^j in the zb
     direction, as terms (e, r), each i^r z^x zb^y with e the packed
     exponent of z^x zb^y, which a spectator cofactor offsets; the tuple is
-    empty
-    when a = b, where every quotient is zero.  With t = i^j and
+    empty when a = b, where every quotient is zero.  With t = i^j and
     n = |a - b|, s_j m = t^(a-b) z^b zb^a, and the quotient is a finite
     geometric sum: sum_{k<n} t^k z^(a-1-k) zb^(b+k) when a > b and
     -sum_{k<n} t^(k-n) z^(b-1-k) zb^(a+k) when a < b.  The sign is folded
@@ -260,9 +259,10 @@ def visit(expr: Expr, x, params: Params, recurse, memo: dict):
 @lru_cache(maxsize=None)
 def _image_table(tree: int, params: Params) -> Dict[int, Terms]:
     """Images of the monomials z^a zb^b, keyed by their z/zb part
-    exp >> SHIFT["zb"], under the tabulated tree with id `tree` at numeric params; filled by
-    `_fill_images` and read by every `apply` of the tree.  Tabulated trees
-    live as long as the module, so their ids stay valid."""
+    exp >> SHIFT["zb"], under the tabulated tree with id `tree` at numeric
+    params; filled by `_fill_images` and read by every `apply` of the
+    tree.  Tabulated trees live as long as the module, so their ids stay
+    valid."""
     return {}
 
 
@@ -311,7 +311,8 @@ def apply(expr: Expr, p: MPoly, params: Params, memo=None) -> MPoly:
     """
     if id(expr) in _TABULATED and not params.is_symbolic:
         table = _image_table(id(expr), params)
-        missing = [exp >> _ZB_AT for exp in p.terms if exp >> _ZB_AT not in table]
+        missing = [exp >> _ZB_AT for exp in p.terms
+                   if exp >> _ZB_AT not in table]
         if missing:
             _fill_images(expr, dict.fromkeys(missing), params, table)
         out: Dict[Exponent, QI] = {}

@@ -308,8 +308,7 @@ class MPoly:
         tc = -b / a                  # divisor = a*(X - tc*Y)
         yi_red = yi - 1 if yi > xi else yi
 
-        Tup = Tuple[int, ...]
-        buckets: Dict[int, Dict[Tup, QI]] = {}
+        buckets: Dict[int, Dict[tuple, QI]] = {}
         for exp, c in p.items():
             k = exp[xi]
             red = exp[:xi] + exp[xi + 1:]
@@ -319,7 +318,7 @@ class MPoly:
             # no pivot variable at all, so no multiple of the divisor
             raise ExactDivisionError("nonzero remainder")
 
-        def add_t_times(dst: Dict[Tup, QI], src: Dict[Tup, QI]):
+        def add_t_times(dst: Dict[tuple, QI], src: Dict[tuple, QI]):
             for exp, c in src.items():
                 nexp = exp[:yi_red] + (exp[yi_red] + 1,) + exp[yi_red + 1:]
                 nc = c * tc
@@ -330,8 +329,8 @@ class MPoly:
                 elif prev is not None:
                     del dst[nexp]
 
-        quot: Dict[int, Dict[Tup, QI]] = {dmax - 1:
-                                          dict(buckets.get(dmax, {}))}
+        quot: Dict[int, Dict[tuple, QI]] = {dmax - 1:
+                                            dict(buckets.get(dmax, {}))}
         for k in range(dmax - 1, 0, -1):
             acc = dict(buckets.get(k, {}))
             add_t_times(acc, quot[k])

@@ -14,8 +14,10 @@ polynomial that repeats an exponent, and settings read from the
 environment, one of them malformed and one overridden by its flag.  It
 also pins the hatted components Hhat_1 and Hhat_3, which no suite applies, a hatted operator on a polynomial with spectator
 variables, a table value above 10^30, the h0, k and j2 tables at
-degree 12 at the high-height triple, and z times z^(2^31).  An entry may carry an ``env``
-dict, the environment its command runs with (empty when absent).
+degree 12 at the high-height triple, and z times z^(2^31), whose
+exponent is past the limit of a packed exponent field.  An entry may
+carry an ``env`` dict, the environment its command runs with (empty when
+absent).
 A refactor that must keep outputs byte-identical regenerates nothing:
 `tests/test_golden.py` replays the committed manifest.  Regenerate it
 only when an output is meant to change:
