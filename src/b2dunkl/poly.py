@@ -286,41 +286,38 @@ class MPoly:
         """Exact quotient self / divisor for a two-term homogeneous linear
         form a X + b Y, such as a mirror line z - i^j zb.
 
-        Raises ExactDivisionError when the division is not exact.  It works
-        on unpacked exponent tuples.
+        Raises ExactDivisionError when the division is not exact.
         """
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
-        # by exponent, deterministic
-        dterms = sorted((unpack(e), c) for e, c in divisor.terms.items())
-        if len(dterms) != 2 or any(sum(e) != 1 for e, _ in dterms):
+        if (len(divisor.terms) != 2
+                or any(sum(unpack(e)) != 1 for e in divisor.terms)):
             raise ValueError("divisor must be a homogeneous linear form "
                              "with two terms")
         if self.is_zero():
             return _ZERO
 
-        p = {unpack(e): c for e, c in self.terms.items()}
-        # pivot variable X: the divisor term whose variable comes first
-        (xexp, a) = min(dterms, key=lambda kv: kv[0].index(1))
-        xi = xexp.index(1)
-        (yexp, b) = next(kv for kv in dterms if kv[0] != xexp)
-        yi = yexp.index(1)
+        # pivot variable X: the divisor term whose variable comes first,
+        # which has the larger packed exponent; each exponent is a unit
+        (xunit, a), (yunit, b) = sorted(divisor.terms.items(), reverse=True)
+        sx = xunit.bit_length() - 1
         tc = -b / a                  # divisor = a*(X - tc*Y)
-        yi_red = yi - 1 if yi > xi else yi
 
-        buckets: Dict[int, Dict[tuple, QI]] = {}
-        for exp, c in p.items():
-            k = exp[xi]
-            red = exp[:xi] + exp[xi + 1:]
-            buckets.setdefault(k, {})[red] = c
+        # the terms by their X exponent k, each with X removed
+        buckets: Dict[int, Dict[Exponent, QI]] = {}
+        for exp, c in self.terms.items():
+            k = (exp >> sx) & MASK
+            buckets.setdefault(k, {})[exp - (k << sx)] = c
         dmax = max(buckets)
         if dmax == 0:
             # no pivot variable at all, so no multiple of the divisor
             raise ExactDivisionError("nonzero remainder")
 
-        def add_t_times(dst: Dict[tuple, QI], src: Dict[tuple, QI]):
+        def add_t_times(dst: Dict[Exponent, QI], src: Dict[Exponent, QI]):
             for exp, c in src.items():
-                nexp = exp[:yi_red] + (exp[yi_red] + 1,) + exp[yi_red + 1:]
+                nexp = exp + yunit
+                if nexp & GUARD:
+                    _too_large()
                 nc = c * tc
                 prev = dst.get(nexp)
                 nc = nc + prev if prev is not None else nc
@@ -329,8 +326,8 @@ class MPoly:
                 elif prev is not None:
                     del dst[nexp]
 
-        quot: Dict[int, Dict[tuple, QI]] = {dmax - 1:
-                                            dict(buckets.get(dmax, {}))}
+        quot: Dict[int, Dict[Exponent, QI]] = {dmax - 1:
+                                               dict(buckets.get(dmax, {}))}
         for k in range(dmax - 1, 0, -1):
             acc = dict(buckets.get(k, {}))
             add_t_times(acc, quot[k])
@@ -344,7 +341,7 @@ class MPoly:
         for k, bucket in quot.items():
             for red, c in bucket.items():
                 if c:
-                    out[pack(red[:xi] + (k,) + red[xi:])] = c / a
+                    out[red + (k << sx)] = c / a
         return from_terms(out)
 
     # ---- serialization -------------------------------------------------

@@ -268,6 +268,8 @@ def test_exponent_limit():
         big * ZB
     with pytest.raises(ValueError, match="exponent too large"):
         Z ** LIMIT
+    with pytest.raises(ValueError, match="exponent too large"):
+        (Z * big).divide_linear(Z - ZB)
     assert (big * Z).coefficient({"z": 1, "zb": LIMIT - 1}) == 1
 
 
