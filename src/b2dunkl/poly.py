@@ -17,8 +17,8 @@ The top bit of each field is a guard: an exponent must stay below
 ``LIMIT`` = 2^31.  The public constructor refuses a larger one, and a
 product or a spectator shift whose sum sets a guard bit raises, so no sum
 ever carries into the next field; both raise ValueError("exponent too
-large").  `pack` and `unpack` convert to and from tuples over
-``UNIVERSE``.  ``vars`` lists the variables some term uses, and the public
+large").  `unpack` gives the exponent tuple over ``UNIVERSE``.
+``vars`` lists the variables some term uses, and the public
 constructor, serialization and display unpack and speak in those variables
 only, so no output shows the packing.
 
@@ -52,11 +52,6 @@ _CONST = 0
 
 # a packed exponent vector; see the module docstring
 Exponent = int
-
-
-def pack(exps: Sequence[int]) -> Exponent:
-    """The packed exponent of a tuple over ``UNIVERSE``; no check."""
-    return sum(e << s for e, s in zip(exps, _SHIFTS))
 
 
 def unpack(exp: Exponent) -> Tuple[int, ...]:
