@@ -14,8 +14,10 @@ polynomial that repeats an exponent, and settings read from the
 environment, one of them malformed and one overridden by its flag.  It
 also pins the hatted components Hhat_1 and Hhat_3, which no suite applies, a hatted operator on a polynomial with spectator
 variables, a table value above 10^30, the h0, k and j2 tables at
-degree 12 at the high-height triple, and z times z^(2^31), whose
-exponent is past the limit of a packed exponent field.  An entry may
+degree 12 at the high-height triple, z times z^(2^31), whose
+exponent is past the limit of a packed exponent field, and an operator
+whose extra keys echo a string with a quote, a backslash, a newline and
+a non-ASCII letter, 1e300, -0.0, true, false, null, [] and {}.  An entry may
 carry an ``env`` dict, the environment its command runs with (empty when
 absent).
 A refactor that must keep outputs byte-identical regenerates nothing:
@@ -91,6 +93,12 @@ REPEATED_EXPONENT = {"vars": ["z"], "terms": [
 # z, and z^(2^31), the first power whose exponent needs 32 bits
 Z_POLY = {"vars": ["z"], "terms": [{"exp": [1], "re": "1", "im": "0"}]}
 Z_2_31 = {"vars": ["z"], "terms": [{"exp": [2 ** 31], "re": "1", "im": "0"}]}
+# a valid mul node with extra keys, which expr_from_json ignores and apply
+# echoes: each kind of JSON leaf an operator can carry into a report
+ECHOED_LEAVES = {"op": "mul", "poly": Z_POLY,
+                 "text": "\u00e9 \" \\ \n", "big": 1e300,
+                 "negative_zero": -0.0, "yes": True, "no": False,
+                 "nothing": None, "empty_list": [], "empty_object": {}}
 
 
 def _sha(text: str) -> str:
@@ -189,7 +197,10 @@ def commands() -> List[List[str]]:
                 json.dumps(REPEATED_EXPONENT)]]
             # an exponent of 2^31 times z
             + [["apply", "--op", json.dumps({"op": "mul", "poly": Z_POLY}),
-                "--poly", json.dumps(Z_2_31)]])
+                "--poly", json.dumps(Z_2_31)]]
+            # extra keys of an operator, echoed: every kind of JSON leaf
+            + [["apply", "--op", json.dumps(ECHOED_LEAVES), "--poly",
+                json.dumps(Z_POLY)]])
 
 
 # commands run with settings from the environment: (env, argv)

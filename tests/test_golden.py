@@ -5,6 +5,6 @@ import golden_manifest
 
 
 def test_golden_manifest_replays_byte_identically():
-    assert len(golden_manifest.load()) == 160
+    assert len(golden_manifest.load()) == 161
     changed = golden_manifest.changed()
     assert not changed, f"{len(changed)} commands changed: {changed}"
