@@ -245,8 +245,14 @@ def seed_norm_rel(label: BasisLabel, params: Params) -> Fraction:
 
 def norm(label: BasisLabel, params: Params) -> Fraction:
     """Squared wavefunction norm relative to psi(0, 0) = 1."""
+    return radial_norm(label, params) * seed_norm_rel(label, params)
+
+
+def radial_norm(label: BasisLabel, params: Params) -> Fraction:
+    """The Laguerre factor of ``norm``: w^(2j) (gamma + 1)_(d - j) / j! at
+    chain position j and degree d, so norm = radial_norm * seed_norm_rel."""
     _require_numeric(params)
     _, _, j = label.classify()
     m = label.degree - j
     return (params.w ** (2 * j) * pochhammer(params.gamma() + 1, m)
-            / math.factorial(j) * seed_norm_rel(label, params))
+            / math.factorial(j))

@@ -11,6 +11,11 @@ cannot be written), 3 for an internal arithmetic error (a division by
 zero, or an exact division that left a remainder), which is a fault of
 the program and not a verdict.
 
+JSON reports go through this module's own writer, ``_json_text``, which
+gives the bytes of ``json.dumps(obj, indent=2)`` in one pass instead of
+through the standard library's pure-Python indenting encoder; that
+encoder is the writer's oracle in the tests.
+
 Every flag can also be set through an environment variable with the
 ``B2DUNKL_`` prefix (``B2DUNKL_K0``, ``B2DUNKL_MAX_DEGREE``, ...), read on
 every call after parsing for each setting no flag gave; a malformed value
@@ -27,6 +32,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from typing import List, Optional, Sequence
 
 from .basis import energy, enumerate_basis, isotype, psi, rho1_eigenvalue
@@ -181,8 +187,63 @@ def _emit(text: str, args) -> None:
         sys.stdout.write(text)
 
 
+def _json_text(obj) -> str:
+    """The text of ``json.dumps(obj, indent=2)``, written in one recursive
+    pass.  With ``indent`` set the standard library encodes in pure Python
+    through generators; this writes dicts (string keys), lists, tuples,
+    strings, ints, bools and None itself, quoting strings with the C
+    ``encode_basestring_ascii``, and hands any other leaf (a float that a
+    user's ``--op`` carries) to ``json.dumps``."""
+    out: List[str] = []
+    _write_json(obj, "\n", out.append)
+    return "".join(out)
+
+
+def _write_json(obj, newline: str, put) -> None:
+    if type(obj) is str:
+        put(_quote(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            put("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in obj.items():
+            if type(value) is str:
+                put(f"{sep}{_quote(key)}: {_quote(value)}")
+            else:
+                put(f"{sep}{_quote(key)}: ")
+                _write_json(value, inner, put)
+            sep = "," + inner
+        put(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            put("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for value in obj:
+            if type(value) is str:
+                put(sep + _quote(value))
+            else:
+                put(sep)
+                _write_json(value, inner, put)
+            sep = "," + inner
+        put(newline + "]")
+    elif obj is None:
+        put("null")
+    elif obj is True:
+        put("true")
+    elif obj is False:
+        put("false")
+    elif type(obj) is int:
+        put(int.__repr__(obj))
+    else:
+        put(json.dumps(obj))
+
+
 def _emit_json(obj, args) -> None:
-    _emit(json.dumps(obj, indent=2) + "\n", args)
+    _emit(_json_text(obj) + "\n", args)
 
 
 def _emit_csv(rows: Sequence[Sequence[str]], args) -> None:
@@ -335,8 +396,7 @@ def _cmd_prove(args) -> int:
     elif result.proven:
         _emit("PROVEN\n", args)
     else:
-        _emit("REFUTED\n" + json.dumps(result.to_json_dict(), indent=2)
-              + "\n", args)
+        _emit("REFUTED\n" + _json_text(result.to_json_dict()) + "\n", args)
     return 0 if result.proven else 1
 
 

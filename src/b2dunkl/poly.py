@@ -38,7 +38,7 @@ from functools import reduce
 from operator import or_
 from typing import Dict, Iterable, Mapping, Sequence, Tuple, Union
 
-from .scalars import ONE, QI, ScalarLike, format_rat, parse_rat
+from .scalars import ONE, QI, ScalarLike, parse_rat
 
 UNIVERSE = ("z", "zb", "u", "ub", "k0", "k1", "w")
 
@@ -342,15 +342,11 @@ class MPoly:
     # ---- serialization -------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        return {
-            "vars": list(self.vars),
-            "terms": [
-                {"exp": list(exp),
-                 "re": format_rat(c.re),
-                 "im": format_rat(c.im)}
-                for exp, c in self.sorted_terms()
-            ],
-        }
+        terms = []
+        for exp, c in self.sorted_terms():
+            re, im = c.texts()
+            terms.append({"exp": list(exp), "re": re, "im": im})
+        return {"vars": list(self.vars), "terms": terms}
 
     @classmethod
     def from_json_dict(cls, obj: Mapping) -> "MPoly":
@@ -389,7 +385,7 @@ class MPoly:
         parts = []
         for exp, c in self.sorted_terms():
             factors = []
-            if c != QI(1) or not any(exp):
+            if c != ONE or not any(exp):
                 factors.append(f"({c})")
             for name, e in zip(names, exp):
                 if e == 1:

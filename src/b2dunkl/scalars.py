@@ -6,9 +6,14 @@ canonical triple of integers ``(a, b, d)`` meaning ``(a + b*i) / d``, with
 ``d > 0`` and ``gcd(a, b, d) == 1``, so equal values have equal triples.  Each
 operation is integer arithmetic followed by at most one three-argument
 ``math.gcd`` (rational arithmetic that normalises once, Knuth, TAOCP vol. 2,
-4.5.1); the real and imaginary parts are read back as ``Fraction``s through
-``.re`` and ``.im``.  There is no floating point anywhere; equality of
-computed quantities always means exact equality.
+4.5.1).  Values cross to and from ``Fraction`` and text as integers: a
+``QI`` is built from the ``numerator`` and ``denominator`` of the ints and
+``Fraction``s it is given, ``QI.texts`` writes both parts as "p/q" from the
+triple with one two-argument gcd each, and ``format_rat`` reads an int or
+``Fraction`` without copying it.  The parts are read back as ``Fraction``s
+through ``.re`` and ``.im`` only by callers that need the values.  There is
+no floating point anywhere; equality of computed quantities always means
+exact equality.
 """
 
 from __future__ import annotations
@@ -36,8 +41,9 @@ def parse_rat(text: str) -> Fraction:
 
 def format_rat(value: RatLike) -> str:
     """Render a rational as 'p/q' with the denominator always explicit."""
-    f = Fraction(value)
-    return f"{f.numerator}/{f.denominator}"
+    if not isinstance(value, (int, Fraction)):
+        value = Fraction(value)
+    return f"{value.numerator}/{value.denominator}"
 
 
 class QI:
@@ -52,7 +58,12 @@ class QI:
         if type(re) is int and type(im) is int:
             self._a, self._b, self._d = re, im, 1
             return
-        re, im = Fraction(re), Fraction(im)
+        # an int or Fraction is read through its numerator and denominator
+        # as it stands; anything else goes through Fraction() first
+        if not isinstance(re, (int, Fraction)):
+            re = Fraction(re)
+        if not isinstance(im, (int, Fraction)):
+            im = Fraction(im)
         q, s = re.denominator, im.denominator
         # over the least common denominator of two reduced fractions the
         # triple is already coprime
@@ -86,6 +97,17 @@ class QI:
     def triple(self):
         """The canonical (a, b, d) with self == (a + b*i)/d."""
         return self._a, self._b, self._d
+
+    def texts(self) -> Tuple[str, str]:
+        """The real and imaginary parts as 'p/q', the texts
+        ``format_rat(self.re)`` and ``format_rat(self.im)`` give, written
+        from the triple: a part's fraction a/d reduces by gcd(a, d)."""
+        a, b, d = self._a, self._b, self._d
+        if d == 1:
+            return f"{a}/1", f"{b}/1"
+        g = gcd(a, d)
+        h = gcd(b, d)
+        return f"{a // g}/{d // g}", f"{b // h}/{d // h}"
 
     def conj(self) -> "QI":
         return _qi(self._a, -self._b, self._d)
@@ -219,9 +241,10 @@ class QI:
         return f"QI({self.re!r}, {self.im!r})"
 
     def __str__(self) -> str:
+        re, im = self.texts()
         if self._b == 0:
-            return format_rat(self.re)
-        return f"{format_rat(self.re)}+{format_rat(self.im)}i"
+            return re
+        return f"{re}+{im}i"
 
 
 _new = object.__new__

@@ -38,8 +38,8 @@ from functools import lru_cache
 from math import factorial
 from typing import Dict, List, Tuple
 
-from .basis import (BasisLabel, energy, enumerate_basis, harmonic_seed, norm,
-                    psi, seed_norm_rel)
+from .basis import (BasisLabel, energy, enumerate_basis, harmonic_seed,
+                    psi, radial_norm, seed_norm_rel)
 from .linsolve import LinearSolver, NotInSpanError
 from .operators import DEGREE_PRESERVING, apply, apply_named
 from .params import Params
@@ -183,17 +183,19 @@ class CoeffTable(Record):
     __slots__ = ("operator", "degree", "params", "entries")
 
     def to_json_dict(self) -> dict:
+        entries = []
+        for src, row in self.entries.items():
+            source = label_str(src)
+            for tgt, c in row.items():
+                re, im = c.texts()
+                entries.append({"source": source, "target": label_str(tgt),
+                                "re": re, "im": im})
         return {
             "operator": self.operator,
             "degree": self.degree,
             "params": self.params.to_json_dict(),
             "basis": [label_str(lb) for lb in enumerate_basis(self.degree)],
-            "entries": [
-                {"source": label_str(src), "target": label_str(tgt),
-                 "re": format_rat(c.re), "im": format_rat(c.im)}
-                for src, row in self.entries.items()
-                for tgt, c in row.items()
-            ],
+            "entries": entries,
         }
 
     def to_csv_rows(self) -> List[List[str]]:
@@ -201,8 +203,7 @@ class CoeffTable(Record):
         for src, row in self.entries.items():
             for tgt, c in row.items():
                 rows.append([self.operator, str(self.degree),
-                             label_str(src), label_str(tgt),
-                             format_rat(c.re), format_rat(c.im)])
+                             label_str(src), label_str(tgt), *c.texts()])
         return rows
 
 
@@ -230,17 +231,15 @@ def j2_table(degree: int, params: Params) -> CoeffTable:
 def norm_table(degree: int, params: Params) -> dict:
     """Exact squared-norm ratios within one level (head label as unit)."""
     params.require_generic(degree)
-    head = BasisLabel(degree, 0)
-    head_norm = norm(head, params)
-    rows = []
-    for lb in enumerate_basis(degree):
-        rows.append({
-            "label": label_str(lb),
-            "seed_norm_rel": format_rat(seed_norm_rel(lb, params)),
-            "norm_ratio_to_head": format_rat(norm(lb, params) / head_norm),
-        })
+    labels = enumerate_basis(degree)        # the head (degree, 0) first
+    seeds = [seed_norm_rel(lb, params) for lb in labels]
+    norms = [radial_norm(lb, params) * s for lb, s in zip(labels, seeds)]
+    rows = [{"label": label_str(lb),
+             "seed_norm_rel": format_rat(s),
+             "norm_ratio_to_head": format_rat(n / norms[0])}
+            for lb, s, n in zip(labels, seeds, norms)]
     return {"degree": degree, "params": params.to_json_dict(),
-            "head": label_str(head), "rows": rows}
+            "head": label_str(labels[0]), "rows": rows}
 
 
 # ---- predicted tables ------------------------------------------------------

@@ -7,6 +7,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import b2dunkl
 from b2dunkl import cli, operators, verify
@@ -723,3 +724,38 @@ def test_apply_json_op_echoes_floats_it_ignores(capsys):
     assert (code, err) == (0, "")
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
     assert json.loads(out)["operator"] == op
+
+
+# --- the report writer against json.dumps(indent=2) -------------------------
+
+json_text = st.text(st.characters(exclude_categories=()))
+json_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(-10 ** 60, 10 ** 60), st.floats(), json_text)
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.lists(inner, max_size=3).map(tuple),
+                            st.dictionaries(json_text, inner, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=300)
+@given(json_values)
+@example("\ud800 lone \udfff surrogates")
+@example({"\x00\x1f\x7f": "\t\r\n\b\f", '"q"': "\\",
+          "\u00e9": "\U0001f600"})
+@example([float("nan"), float("inf"), float("-inf"), -0.0, 1e300, 5e-324])
+@example([True, False, None, 0, -1, 10 ** 100, -(10 ** 100)])
+@example({"empty": [], "object": {}, "tuple": (), "nested": [[[]], [{}]]})
+@example({"a": {"b": {"c": [1, ["x", {"d": None}]]}}, "": ""})
+def test_report_writer_gives_the_bytes_of_json_dumps(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2)
+
+
+def test_report_writer_refuses_what_json_dumps_refuses():
+    for value in ({1, 2}, object(), [b"bytes"]):
+        with pytest.raises(TypeError):
+            json.dumps(value, indent=2)
+        with pytest.raises(TypeError):
+            cli._json_text(value)

@@ -4,8 +4,9 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from b2dunkl.poly import MPoly
 from b2dunkl.scalars import QI, format_rat, parse_rat
 
 
@@ -254,3 +255,69 @@ def test_equal_values_have_equal_triples_and_hashes(x, y):
     if y != (0, 0):
         t = (qx * qy) / qy
         assert t.triple == qx.triple and hash(t) == hash(qx)
+
+
+# --- text and construction from integers, against the Fraction routes -------
+
+heights = st.one_of(st.integers(-9, 9),
+                    st.integers(-2 * 10 ** 6, 2 * 10 ** 6),
+                    st.integers(10 ** 6 - 9, 10 ** 6 + 9))
+denominators = st.one_of(st.just(1), st.integers(1, 12),
+                         st.integers(10 ** 6 - 9, 2 * 10 ** 6))
+
+
+@given(heights, heights, denominators)
+@example(0, 0, 1)
+@example(0, -7, 1)
+@example(-3, 0, 4)
+@example(10 ** 6, -(10 ** 6), 10 ** 6 + 1)
+def test_texts_match_format_rat_of_the_parts(a, b, d):
+    q = QI(Fraction(a, d), Fraction(b, d))
+    assert q.texts() == (format_rat(q.re), format_rat(q.im))
+    want = format_rat(q.re) if q.im == 0 else \
+        f"{format_rat(q.re)}+{format_rat(q.im)}i"
+    assert str(q) == want
+
+
+def fraction_route(re, im):
+    """The triple of (re + im*i) built through Fraction() of both parts."""
+    re, im = Fraction(re), Fraction(im)
+    q, s = re.denominator, im.denominator
+    d = q // gcd(q, s) * s
+    return re.numerator * (d // q), im.numerator * (d // s), d
+
+
+rationals = st.one_of(st.booleans(), st.integers(-10 ** 7, 10 ** 7),
+                      small_rats, high_rats)
+
+
+@given(rationals, rationals)
+def test_construction_from_ints_and_fractions_matches_fraction_route(x, y):
+    triple = QI(x, y).triple
+    assert triple == fraction_route(x, y)
+    assert all(type(t) is int for t in triple)
+    assert QI.of(x).triple == fraction_route(x, 0)
+
+
+def test_other_inputs_keep_the_fraction_route():
+    assert QI(0.5, "-3/6").triple == (1, -1, 2)
+    assert QI("2/4").triple == (1, 0, 2)
+    assert format_rat("6/4") == "3/2" and format_rat(0.25) == "1/4"
+    assert format_rat(7) == "7/1" and format_rat(-7) == "-7/1"
+
+
+def test_printing_builds_no_fraction(monkeypatch):
+    q = QI(Fraction(-3, 4), Fraction(5, 6))
+    p = MPoly(("z", "zb"), [((2, 1), q), ((0, 0), QI(7)),
+                            ((1, 0), QI(1))])
+
+    class NoFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            raise AssertionError("printing built a Fraction")
+
+    monkeypatch.setattr("b2dunkl.scalars.Fraction", NoFraction)
+    assert q.texts() == ("-3/4", "5/6") and str(q) == "-3/4+5/6i"
+    assert str(QI(7)) == "7/1"
+    assert str(p) == "(-3/4+5/6i)*z^2*zb + z + (7/1)"
+    assert [(t["re"], t["im"]) for t in p.to_json_dict()["terms"]] == \
+        [("-3/4", "5/6"), ("1/1", "0/1"), ("7/1", "0/1")]

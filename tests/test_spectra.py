@@ -14,7 +14,7 @@ from b2dunkl.operators import DEGREE_PRESERVING, apply, apply_named
 from b2dunkl.params import DEFAULT_PARAMS as P
 from b2dunkl.params import EXTRA_PARAM_SETS, Params
 from b2dunkl.poly import MPoly, from_terms, unpack
-from b2dunkl.scalars import QI
+from b2dunkl.scalars import QI, format_rat
 from b2dunkl.spectra import (
     NotInSpanError, _level_solver, adjudicate_mirror_diagonals, expand,
     h0_shifted_expansion, h0_table, j2_expansion, j2_table, k_table,
@@ -307,3 +307,19 @@ def test_norm_table_shape():
         [label_str(lb) for lb in enumerate_basis(5)]
     head_row = doc["rows"][0]
     assert head_row["norm_ratio_to_head"] == "1/1"
+
+
+@pytest.mark.parametrize("params", TRIPLES)
+def test_norm_table_computes_each_seed_norm_once(params, monkeypatch):
+    calls = []
+    seed_norm_rel = spectra.seed_norm_rel
+    monkeypatch.setattr(spectra, "seed_norm_rel",
+                        lambda lb, p: calls.append(lb) or seed_norm_rel(lb, p))
+    doc = norm_table(7, params)
+    labels = enumerate_basis(7)
+    assert calls == labels
+    head = labels[0]
+    for lb, row in zip(labels, doc["rows"]):
+        assert row["seed_norm_rel"] == format_rat(seed_norm_rel(lb, params))
+        assert row["norm_ratio_to_head"] == \
+            format_rat(norm_ratio(lb, head, params))
