@@ -200,9 +200,9 @@ def _json_text(obj) -> str:
 
 
 def _write_json(obj, newline: str, put) -> None:
-    if type(obj) is str:
-        put(_quote(obj))
-    elif isinstance(obj, dict):
+    # a container writes its string members itself; only a bare string
+    # at the top reaches the json.dumps leaf below
+    if isinstance(obj, dict):
         if not obj:
             put("{}")
             return
